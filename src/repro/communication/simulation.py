@@ -34,9 +34,7 @@ class HandoffStream(SetStream):
     accounting; algorithms keep choosing their wire format freely.
     Executor-driven gains scans (``scan_gains``) are sequential passes
     over the whole family too, so they fire one handoff per boundary as
-    well.  Chunk batches are refused: a boundary falling inside a chunk
-    would be silently missed, so the protocol simulation only admits
-    row-granular scans.
+    well.
     """
 
     def __init__(
@@ -53,13 +51,6 @@ class HandoffStream(SetStream):
                     f"boundary {b} outside the family range (0, {system.m})"
                 )
         self._on_handoff = on_handoff
-
-    def iterate_chunks(self, backend: str = "numpy"):
-        raise NotImplementedError(
-            "HandoffStream counts handoffs at set granularity; chunk-batch "
-            "passes would skip boundaries inside a chunk. Use iterate() or "
-            "iterate_packed()."
-        )
 
     def _scan(self, make_rows) -> Iterator[tuple[int, object]]:
         boundaries = set(self._boundaries)

@@ -22,17 +22,14 @@ encoding setting — the property tests in ``tests/test_parallel.py`` and
 queue, an async I/O ring) is a one-file addition that inherits the
 guarantee from the merge layer.
 
-This is the import surface the rest of the repository uses; the old
-location, :mod:`repro.setsystem.parallel`, remains as a deprecated
-import shim.
+This is the import surface the rest of the repository uses.
 
 Examples
 --------
->>> from repro.setsystem.packed import ScanMask
->>> executor = SerialScanExecutor()
->>> chunks = [(0, [0b011, 0b100]), (2, [0b111])]
->>> result = executor.scan_chunks(3, chunks, ScanMask(3, 0b110))
->>> list(result.gains), result.captured
+>>> from repro.setsystem import InMemoryRepository, SetSystem
+>>> repository = InMemoryRepository(SetSystem(3, [[0, 1], [2], [0, 1, 2]]))
+>>> result = SerialScanExecutor().scan_repository(repository, 0b110)
+>>> [int(g) for g in result.gains], result.captured
 ([1, 1, 2], [])
 >>> plan_batches([1, 1, 8, 1, 1], jobs=2, batches_per_worker=1)
 [[0, 1], [2, 3, 4]]

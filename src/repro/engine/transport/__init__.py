@@ -3,14 +3,20 @@
 One module per execution substrate, all implementing the
 :class:`~repro.engine.transport.base.ScanExecutor` protocol:
 
-========= ===================================================== ==========
-backend   substrate                                             module
-========= ===================================================== ==========
-serial    inline, with optional prefetch/decode-ahead pipeline  serial.py
-thread    shared thread pool (in-memory families, offline paths) thread.py
-process   shared local process pool, worker-owned ``mmap``       process.py
-remote    TCP worker fleet (``python -m repro worker serve``)    remote.py
-========= ===================================================== ==========
+========= ======================================================= ==========
+backend   substrate                                               module
+========= ======================================================= ==========
+serial    inline, with optional prefetch/decode-ahead pipeline    serial.py
+thread    shared thread pool: in-memory repositories, offline     thread.py
+process   shared local process pool, worker-owned ``mmap``        process.py
+remote    TCP worker fleet (``python -m repro worker serve``)     remote.py
+========= ======================================================= ==========
+
+Every backend scans a repository through the one
+:meth:`~repro.engine.transport.base.ScanExecutor.iter_scan_repository`
+primitive.  The process and remote backends re-open it by path in their
+workers, so in-memory repositories (which have none) scan serially or
+on threads.
 
 :func:`executor_for` picks the backend a ``jobs`` / ``transport`` /
 ``workers`` knob combination asks for; :func:`shutdown_pools` reaps

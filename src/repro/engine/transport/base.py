@@ -14,10 +14,11 @@ state, covers, tie-breaks and pass counts are bit-identical on every
 backend — the property tests in ``tests/test_parallel.py`` and
 ``tests/test_remote.py`` assert exactly that.
 
-Adding a backend means implementing the two ``iter_scan_*`` primitives
-(and, optionally, the ``iter_accept_*`` fused-accept flavour) in a new
-module under :mod:`repro.engine.transport` — the protocol, the merge
-discipline and every algorithm above it stay untouched.
+Adding a backend means implementing the one ``iter_scan_repository``
+primitive (and, optionally, the ``iter_accept_repository`` fused-accept
+flavour) in a new module under :mod:`repro.engine.transport` — the
+protocol, the merge discipline and every algorithm above it stay
+untouched.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import abc
 
 from repro.engine.merge import merge_scan_parts, simulate_accepts
-from repro.setsystem.packed import ScanMask
 
 __all__ = ["ScanExecutor"]
 
@@ -33,14 +33,17 @@ __all__ = ["ScanExecutor"]
 class ScanExecutor(abc.ABC):
     """Strategy object running the per-chunk work of one gains scan.
 
-    The primitive interface is *streaming*: ``iter_scan_repository`` /
-    ``iter_scan_chunks`` yield ``(start, gains, captured)`` per chunk,
-    **in chunk order**, so a caller replaying captures holds at most one
+    The one primitive is *streaming*: ``iter_scan_repository`` yields
+    ``(start, gains, captured)`` per shard of a repository — on-disk
+    (:class:`~repro.setsystem.shards.ShardedRepository`) or in-memory
+    (:class:`~repro.setsystem.in_memory.InMemoryRepository`) — **in
+    chunk order**, so a caller replaying captures holds at most one
     chunk's worth at a time (the bounded-capture discipline of
-    DESIGN.md §6.1).  The eager ``scan_*`` wrappers merge the full scan
-    for callers that want the whole gains vector (benchmarks, tests).
+    DESIGN.md §6.1).  The eager :meth:`scan_repository` wrapper merges
+    the full scan for callers that want the whole gains vector
+    (benchmarks, tests).
 
-    The accept flavour (``iter_accept_*``) additionally runs the
+    The accept flavour (``iter_accept_repository``) additionally runs the
     in-chunk threshold-accept simulation
     (:func:`repro.engine.merge.simulate_accepts`) and yields
     ``(start, captured, AcceptBatch)`` per chunk; the process and remote
@@ -81,19 +84,6 @@ class ScanExecutor(abc.ABC):
     ):
         """Yield ``(start, gains, captured)`` per shard, in order."""
 
-    @abc.abstractmethod
-    def iter_scan_chunks(
-        self,
-        n: int,
-        chunks,
-        mask: ScanMask,
-        min_capture_gain: "int | None" = None,
-        capture_ids=None,
-        best_only: bool = False,
-        include_gains: bool = True,
-    ):
-        """Yield ``(start, gains, captured)`` per in-memory chunk."""
-
     def iter_accept_repository(self, repository, mask_int: int, threshold: int):
         """Yield ``(start, captured, AcceptBatch)`` per shard, in order."""
         for start, _, captured in self.iter_scan_repository(
@@ -102,26 +92,10 @@ class ScanExecutor(abc.ABC):
         ):
             yield start, captured, simulate_accepts(mask_int, threshold, captured)
 
-    def iter_accept_chunks(self, n: int, chunks, mask: ScanMask, threshold: int):
-        """Yield ``(start, captured, AcceptBatch)`` per in-memory chunk."""
-        for start, _, captured in self.iter_scan_chunks(
-            n, chunks, mask,
-            min_capture_gain=threshold, include_gains=False,
-        ):
-            yield start, captured, simulate_accepts(
-                mask.mask_int, threshold, captured
-            )
-
     def scan_repository(self, repository, mask_int, **kwargs):
         """Eager merge of :meth:`iter_scan_repository`."""
         return merge_scan_parts(
             list(self.iter_scan_repository(repository, mask_int, **kwargs))
-        )
-
-    def scan_chunks(self, n, chunks, mask, **kwargs):
-        """Eager merge of :meth:`iter_scan_chunks`."""
-        return merge_scan_parts(
-            list(self.iter_scan_chunks(n, chunks, mask, **kwargs))
         )
 
     def close(self) -> None:

@@ -15,14 +15,11 @@ Mechanics (DESIGN.md §6, §8):
   stream back through the shared
   :class:`~repro.engine.merge.ReorderWindow` as each shard finishes, so
   the driver's replay overlaps in-flight scans instead of waiting for a
-  whole planned batch (in-memory chunk scans stay batched — there the
-  win is amortizing the shipped chunk bytes, not overlap);
+  whole planned batch;
 * workers consult the cross-pass hot cache
   (:mod:`repro.engine.cache`) before decoding, so pass two of a solve
   scans warm chunks; per-worker hit/miss counters ride every task
   result and aggregate into :attr:`ProcessScanExecutor.cache_stats`;
-* in-memory chunks are shipped to workers as packed bytes (small
-  families only; the sharded path is the scale path);
 * the residual mask travels inline for small ground sets and through a
   :class:`multiprocessing.shared_memory.SharedMemory` segment once it
   exceeds :data:`_SHM_MIN_MASK_BYTES`, so huge-universe scans do not
@@ -44,14 +41,8 @@ from pathlib import Path
 
 from repro.engine.cache import cached_scan_shard, get_cache
 from repro.engine.merge import ReorderWindow, simulate_accepts
-from repro.engine.plan import plan_batches
 from repro.engine.transport.base import ScanExecutor
-from repro.setsystem.packed import ScanMask, scan_chunk
-
-try:  # numpy speeds up chunk kernels; every path has a pure-python fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+from repro.setsystem.packed import ScanMask
 
 __all__ = ["ProcessScanExecutor"]
 
@@ -203,7 +194,7 @@ def _maybe_crash_for_tests() -> None:
 def _scan_shard_task(args):
     """Scan ONE shard inside a worker process (the windowed unit).
 
-    Returns ``(pid, cache_stats, [(shard, item)])`` where ``item`` is
+    Returns ``(pid, cache_stats, shard, item)`` where ``item`` is
     the per-chunk scan triple — or, in accept mode, ``(start, captured,
     AcceptBatch)`` with the accept simulation already run worker-side.
     One shard per task is what makes result streaming *windowed*: each
@@ -235,46 +226,14 @@ def _scan_shard_task(args):
         item = (start, (gains if include_gains else None), captured)
     cache = get_cache()
     stats = cache.stats() if cache.enabled else None
-    return os.getpid(), stats, [(shard, item)]
-
-
-def _scan_chunk_batch_task(args):
-    """Scan one batch of shipped in-memory chunks inside a worker."""
-    (batch, n, mask_payload, min_gain, capture_ids, best_only, include_gains,
-     accept_threshold) = args
-    _maybe_crash_for_tests()
-    mask = _mask_from_payload(mask_payload, n)
-    out = []
-    for order, start, kind, payload, rows, words in batch:
-        if kind == "matrix":
-            chunk = np.frombuffer(payload, dtype="<u8").reshape(rows, words)
-        else:
-            chunk = payload
-        gains, captured = scan_chunk(
-            start, chunk, mask,
-            min_capture_gain=(
-                accept_threshold if accept_threshold is not None else min_gain
-            ),
-            capture_ids=capture_ids,
-            best_only=best_only,
-        )
-        if accept_threshold is not None:
-            item = (
-                start,
-                captured,
-                simulate_accepts(mask.mask_int, accept_threshold, captured),
-            )
-        else:
-            item = (start, (gains if include_gains else None), captured)
-        out.append((order, item))
-    return os.getpid(), None, out
+    return os.getpid(), stats, shard, item
 
 
 class ProcessScanExecutor(ScanExecutor):
     """Chunk scans fanned out over a shared pool of worker processes.
 
-    Determinism: whatever order the planner submits batches in, every
-    per-chunk result is keyed by its position in the chunk sequence and
+    Determinism: whatever order the workers finish in, every per-shard
+    result is keyed by its position in the shard sequence and
     re-assembled in that order through the shared
     :class:`~repro.engine.merge.ReorderWindow` before it reaches the
     caller — consumers see exactly the serial executor's chunk sequence,
@@ -325,19 +284,18 @@ class ProcessScanExecutor(ScanExecutor):
             return ("shm", shm.name, len(mask_bytes), next(_SCAN_NONCE)), shm
         return ("raw", mask_bytes), None
 
-    def _drain(self, task_fn, make_tasks):
-        """Submit planned batches; yield per-chunk items in chunk order.
+    def _drain(self, make_tasks):
+        """Submit one task per shard; yield per-shard items in shard order.
 
         ``make_tasks()`` builds the task tuples (and the mask's
         SharedMemory segment, when one is needed) — called here, inside
         the generator body, so nothing is allocated until the first
         ``next()`` and an iterator that is never started can never leak
-        a segment.  Task results are lists of ``(position, item)`` pairs
-        with positions partitioning ``0..count-1``; items buffer in the
-        shared reorder window until their position is next, so consumers
-        never observe the batching.
+        a segment.  Items buffer in the shared reorder window until
+        their shard is next, so consumers never observe completion
+        order.
         """
-        tasks, count, shm = make_tasks()
+        tasks, shm = make_tasks()
         futures: list = []
         try:
             # Submission sits inside the try: submitting to a pool whose
@@ -346,8 +304,8 @@ class ProcessScanExecutor(ScanExecutor):
             # and must discard the pool and release the mask SHM exactly
             # like a mid-scan death.
             pool = _get_process_pool(self.jobs)
-            futures = [pool.submit(task_fn, task) for task in tasks]
-            window = ReorderWindow(count)
+            futures = [pool.submit(_scan_shard_task, task) for task in tasks]
+            window = ReorderWindow(len(tasks))
             pending = set(futures)
             while not window.complete:
                 done, pending = concurrent.futures.wait(
@@ -355,11 +313,10 @@ class ProcessScanExecutor(ScanExecutor):
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 for future in done:
-                    pid, stats, pairs = future.result()
+                    pid, stats, shard, item = future.result()
                     if stats is not None:
                         self._worker_stats[pid] = stats
-                    for position, item in pairs:
-                        window.push(position, item)
+                    window.push(shard, item)
                 yield from window.pop_ready()
         except concurrent.futures.BrokenExecutor as exc:
             _discard_process_pool(self.jobs)
@@ -403,14 +360,13 @@ class ProcessScanExecutor(ScanExecutor):
              capture_ids, best_only, include_gains, accept_threshold)
             for shard in range(count)
         ]
-        return tasks, count, shm
+        return tasks, shm
 
     def iter_scan_repository(
         self, repository, mask_int, min_capture_gain=None, capture_ids=None,
         best_only=False, include_gains=True,
     ):
         return self._drain(
-            _scan_shard_task,
             lambda: self._repository_tasks(
                 repository, mask_int, min_capture_gain, capture_ids,
                 best_only, include_gains, None,
@@ -419,57 +375,7 @@ class ProcessScanExecutor(ScanExecutor):
 
     def iter_accept_repository(self, repository, mask_int, threshold):
         return self._drain(
-            _scan_shard_task,
             lambda: self._repository_tasks(
                 repository, mask_int, None, None, False, False, threshold,
-            ),
-        )
-
-    def _chunk_tasks(
-        self, n, chunks, mask, min_capture_gain, capture_ids, best_only,
-        include_gains, accept_threshold,
-    ):
-        capture_ids = frozenset(capture_ids) if capture_ids is not None else None
-        payload, shm = self._mask_payload(mask.mask_int, mask.words)
-        entries = []
-        for order, (start, chunk) in enumerate(chunks):
-            if np is not None and isinstance(chunk, np.ndarray):
-                entries.append(
-                    (order, start, "matrix", chunk.tobytes(),
-                     chunk.shape[0], chunk.shape[1])
-                )
-            else:
-                entries.append((order, start, "masks", list(chunk), len(chunk), 0))
-        if self.planner:
-            # Chunks of an in-memory family are near-equal row slices, so
-            # the plan degenerates to even contiguous batching — the win
-            # here is amortized IPC, not balance.
-            plan = plan_batches([max(1, entry[4]) for entry in entries], self.jobs)
-        else:
-            plan = [[order] for order in range(len(entries))]
-        tasks = [
-            ([entries[order] for order in batch], n, payload, min_capture_gain,
-             capture_ids, best_only, include_gains, accept_threshold)
-            for batch in plan
-        ]
-        return tasks, len(entries), shm
-
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        return self._drain(
-            _scan_chunk_batch_task,
-            lambda: self._chunk_tasks(
-                n, chunks, mask, min_capture_gain, capture_ids, best_only,
-                include_gains, None,
-            ),
-        )
-
-    def iter_accept_chunks(self, n, chunks, mask, threshold):
-        return self._drain(
-            _scan_chunk_batch_task,
-            lambda: self._chunk_tasks(
-                n, chunks, mask, None, None, False, False, threshold,
             ),
         )

@@ -1325,11 +1325,10 @@ class RemoteScanExecutor(ScanExecutor):
     chaos-smoke job and ad-hoc resilience experiments run unmodified
     solves under injected faults.
 
-    Only repository scans are remote: the whole point of the backend is
-    that workers re-open the shard repository themselves and page it
-    through their own ``mmap``.  In-memory chunk scans
-    (:meth:`iter_scan_chunks`) raise — shipping a resident family over
-    TCP would be strictly worse than the process backend.
+    Workers re-open the shard repository themselves and page it through
+    their own ``mmap``, so only repositories with a ``path`` can be
+    scanned; streams refuse in-memory families with this transport at
+    construction.
     """
 
     transport = "remote"
@@ -1374,20 +1373,6 @@ class RemoteScanExecutor(ScanExecutor):
             proxy.stop()
         self._chaos = []
         self._dial = {}
-
-    # -- unsupported in-memory flavours ---------------------------------
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        raise RuntimeError(
-            "the remote transport scans on-disk shard repositories only; "
-            "in-memory families have no path a worker could open — use "
-            "`repro shard create` (or write_shards) and a ShardedSetStream"
-        )
-
-    def iter_accept_chunks(self, n, chunks, mask, threshold):
-        return self.iter_scan_chunks(n, chunks, mask)
 
     # -- repository scans ------------------------------------------------
     def iter_scan_repository(

@@ -13,7 +13,7 @@ import os
 
 from repro.engine.cache import cached_scan_shard
 from repro.engine.transport.base import ScanExecutor
-from repro.setsystem.packed import ScanMask, scan_chunk
+from repro.setsystem.packed import ScanMask
 
 __all__ = ["SerialScanExecutor"]
 
@@ -110,16 +110,3 @@ class SerialScanExecutor(ScanExecutor):
             for future in (pending, upcoming):
                 if future is not None and not future.cancel():
                     future.exception()  # wait it out; never orphan a scan
-
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        for start, chunk in chunks:
-            gains, captured = scan_chunk(
-                start, chunk, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            yield start, (gains if include_gains else None), captured

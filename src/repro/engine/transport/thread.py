@@ -1,11 +1,13 @@
 """Thread-pool backend: shared-address-space fan-out for in-memory work.
 
-Threads share the address space, so in-memory families need no
+Threads share the address space, so in-memory families
+(:class:`~repro.setsystem.in_memory.InMemoryRepository`) need no
 serialization at all — and the packed numpy kernels release the GIL, so
-chunk scans genuinely overlap.  This is also the backend the offline hot
-paths use (the ``algOfflineSC`` greedy argmax and domination pruning,
-DESIGN.md §8.5) via :func:`thread_map`; streams default to processes for
-sharded repositories, where workers want their own ``mmap``.
+shard scans genuinely overlap.  In-memory streams with ``jobs > 1`` scan
+here, and so do the offline hot paths (the ``algOfflineSC`` greedy
+argmax and, via :func:`thread_map`, domination pruning; DESIGN.md §8.5).
+Sharded repositories default to processes, whose workers want their own
+``mmap``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import concurrent.futures
 
 from repro.engine.cache import cached_scan_shard
 from repro.engine.transport.base import ScanExecutor
-from repro.setsystem.packed import ScanMask, scan_chunk
+from repro.setsystem.packed import ScanMask
 
 try:  # numpy builds the shared packed mask view once before fanning out
     import numpy as np
@@ -94,32 +96,6 @@ class ThreadScanExecutor(ScanExecutor):
             # An abandoned pass must not leave pool threads scanning a
             # repository the caller is about to close (same contract as
             # the serial pipeline and the process drain).
-            for future in futures:
-                future.cancel()
-            concurrent.futures.wait(futures)
-
-    def iter_scan_chunks(
-        self, n, chunks, mask, min_capture_gain=None, capture_ids=None,
-        best_only=False, include_gains=True,
-    ):
-        chunks = list(chunks)
-        if np is not None and not mask.is_empty:
-            mask.arr  # build the shared packed view before fanning out
-        pool = _get_thread_pool(self.jobs)
-        futures = [
-            pool.submit(
-                scan_chunk, start, chunk, mask,
-                min_capture_gain=min_capture_gain,
-                capture_ids=capture_ids,
-                best_only=best_only,
-            )
-            for start, chunk in chunks
-        ]
-        try:
-            for (start, _), future in zip(chunks, futures):
-                gains, captured = future.result()
-                yield start, (gains if include_gains else None), captured
-        finally:
             for future in futures:
                 future.cancel()
             concurrent.futures.wait(futures)

@@ -17,7 +17,8 @@ this down.
 
 With ``jobs > 1`` the numpy strategy runs each pick's gains scan
 through a :class:`~repro.engine.transport.thread.ThreadScanExecutor` over
-row slices of the block matrix (DESIGN.md §8.5): every chunk ships its
+an :class:`~repro.setsystem.in_memory.InMemoryRepository` — row slices of
+the block matrix (DESIGN.md §8.5): every slice ships its
 first-max candidate, and the reduction keeps the strictly larger gain
 (ascending chunks, so ties stay with the lowest row index) — the exact
 argmax the serial kernel computes, now on every core.  The packed
@@ -29,8 +30,9 @@ from __future__ import annotations
 import heapq
 
 from repro.offline.base import InfeasibleInstanceError, OfflineSolver
-from repro.setsystem.packed import PackedFamily, ScanMask, resolve_backend
+from repro.setsystem.packed import PackedFamily, resolve_backend
 from repro.engine import JOBS_AUTO, ThreadScanExecutor, resolve_jobs
+from repro.setsystem.in_memory import InMemoryRepository
 from repro.setsystem.set_system import SetSystem
 from repro.utils.mathutil import harmonic
 
@@ -55,7 +57,7 @@ def greedy_cover(
         words = (system.n + 63) // 64
         count = resolve_jobs(jobs, repository_words=system.m * words)
         if count > 1:
-            return _greedy_cover_argmax_threaded(family, count)
+            return _greedy_cover_argmax_threaded(system, count)
         return _greedy_cover_argmax(family)
     return _greedy_cover_bigint(family)
 
@@ -116,30 +118,25 @@ def _greedy_cover_argmax(family: PackedFamily) -> list[int]:
     return chosen
 
 
-def _greedy_cover_argmax_threaded(family, jobs: int) -> list[int]:
+def _greedy_cover_argmax_threaded(system: SetSystem, jobs: int) -> list[int]:
     """Thread-parallel argmax greedy over matrix row slices.
 
-    Each pick runs one ``best_only`` chunk scan per slice on the shared
-    thread pool; the driver keeps the strictly larger gain while
-    consuming chunks in ascending row order, which is exactly the
-    serial kernel's first-max tie-break.
+    Each pick runs one ``best_only`` repository scan over the system's
+    ``2 * jobs`` row slices on the shared thread pool; the driver keeps
+    the strictly larger gain while consuming slices in ascending row
+    order, which is exactly the serial kernel's first-max tie-break.
     """
+    family = system.packed("numpy")
     kernel = family.kernel
     executor = ThreadScanExecutor(jobs)
-    matrix = family.matrix
-    m, n = family.m, family.n
-    chunk_rows = max(1, -(-m // (2 * jobs)))
-    slices = [
-        (start, matrix[start : start + chunk_rows])
-        for start in range(0, m, chunk_rows)
-    ]
+    repository = InMemoryRepository(system, lanes=jobs)
     residual = kernel.full()
     chosen: list[int] = []
     while not kernel.is_empty(residual):
-        mask = ScanMask(n, kernel.to_mask_int(residual))
         best_id, best_gain = -1, 0
-        for _, _, captured in executor.iter_scan_chunks(
-            n, slices, mask, best_only=True, include_gains=False
+        for _, _, captured in executor.iter_scan_repository(
+            repository, kernel.to_mask_int(residual),
+            best_only=True, include_gains=False,
         ):
             for row_id, projection in captured:
                 gain = projection.bit_count()

@@ -15,6 +15,7 @@ from repro.setsystem.durability import (
     fsck_repository,
     recover_compaction,
 )
+from repro.setsystem.in_memory import InMemoryRepository
 from repro.setsystem.io import dumps_json, dumps_text, load, loads_json, loads_text, save
 from repro.setsystem.operations import (
     cover_size,
@@ -46,53 +47,16 @@ from repro.setsystem.shards import (
     write_shards,
 )
 
-# Scan-engine names, kept importable from this package for backward
-# compatibility.  They live in repro.engine now and are forwarded lazily
-# (PEP 562): repro.engine itself imports repro.setsystem.packed, so an
-# eager import here would be a cycle whenever repro.engine loads first.
-_ENGINE_NAMES = frozenset(
-    {
-        "JOBS_AUTO",
-        "ProcessScanExecutor",
-        "ScanExecutor",
-        "ScanResult",
-        "SerialScanExecutor",
-        "executor_for",
-        "resolve_jobs",
-        "shutdown_pools",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        import repro.engine
-
-        return getattr(repro.engine, name)
-    if name == "parallel":
-        # The deprecated shim used to be imported eagerly, which bound it
-        # as a package attribute; keep `repro.setsystem.parallel` working
-        # for attribute access too (the import itself emits the warning).
-        import importlib
-
-        return importlib.import_module("repro.setsystem.parallel")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BACKENDS",
     "ENCODINGS",
-    "JOBS_AUTO",
     "BitmapKernel",
     "PackedFamily",
-    "ProcessScanExecutor",
-    "ScanExecutor",
     "ScanMask",
-    "ScanResult",
-    "SerialScanExecutor",
     "DeltaShardWriter",
     "Finding",
     "FsckReport",
+    "InMemoryRepository",
     "InterruptedCompactionError",
     "MergedShardView",
     "PendingDeltaError",
@@ -109,9 +73,6 @@ __all__ = [
     "fsck_repository",
     "open_repository",
     "recover_compaction",
-    "executor_for",
-    "resolve_jobs",
-    "shutdown_pools",
     "write_shards",
     "bitmap_kernel",
     "pack",

@@ -162,12 +162,15 @@ class SetSystem:
         """Does ``selection`` (by set index) cover the whole ground set?
 
         Short-circuits as soon as the running union reaches ``U`` instead
-        of materializing the full covered set.
+        of materializing the full covered set.  Ids outside ``[0, m)``
+        raise ``IndexError`` (negative ids do not wrap).
         """
         full = universe_mask(self._n)
         masks = self._mask_tuple()
         covered = 0
         for set_id in selection:
+            if not 0 <= set_id < len(masks):
+                raise IndexError(f"row {set_id} outside [0, {len(masks)})")
             covered |= masks[set_id]
             if covered == full:
                 return True

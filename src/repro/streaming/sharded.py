@@ -36,9 +36,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.engine import JOBS_AUTO, executor_for
-from repro.setsystem.deltas import MergedShardView, open_repository
-from repro.setsystem.set_system import SetSystem
+from repro.engine import JOBS_AUTO
+from repro.setsystem.deltas import open_repository
 from repro.setsystem.shards import ShardedRepository
 from repro.streaming.stream import SetStreamBase
 
@@ -98,56 +97,18 @@ class ShardedSetStream(SetStreamBase):
         workers=None,
         retry=None,
     ):
-        super().__init__()
         if isinstance(repository, (str, Path)):
             # Delta-aware: a repository with pending delta generations
             # opens as its merged view (tombstones win, newest
             # generation wins) — same scan interface, same parity
             # guarantees across local backends (DESIGN.md §11).
             repository = open_repository(repository, verify=verify)
-        if isinstance(repository, MergedShardView) and (
-            transport == "remote" or workers
-        ):
-            raise ValueError(
-                "the remote transport cannot scan a repository with "
-                f"{repository.pending_deltas} pending delta generation(s): "
-                "remote workers re-open the base by path and hold no chain "
-                "state. Run `repro shard compact` first."
-            )
-        self._repo = repository
-        self._jobs = jobs
-        self._planner = bool(planner)
-        self._transport = transport
-        self._workers = workers
-        self._retry = retry
-        self._executor = None
-        self._materialized: "SetSystem | None" = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Ground-set size (known to the algorithm up front)."""
-        return self._repo.n
-
-    @property
-    def m(self) -> int:
-        """Number of sets in the repository (manifest metadata, no pass)."""
-        return self._repo.m
+        super().__init__(repository, jobs, planner, transport, workers, retry)
 
     @property
     def repository(self) -> ShardedRepository:
         """The underlying on-disk repository."""
         return self._repo
-
-    @property
-    def resident_words(self) -> int:
-        """One chunk of packed rows — the buffer a scan holds resident.
-
-        ``chunk_rows * ceil(n/64)`` uint64 words (capped at the family
-        size).  This is what out-of-core runs charge on top of algorithm
-        state; the repository's ``m * ceil(n/64)`` words stay on disk.
-        """
-        return self._repo.chunk_words
 
     def close(self) -> None:
         """Release the repository's memory maps and the scan executor.
@@ -159,90 +120,6 @@ class ShardedSetStream(SetStreamBase):
         if self._executor is not None:
             self._executor.close()
         self._repo.close()
-
-    # -- repository hooks ----------------------------------------------
-    def _frozenset_rows(self):
-        return enumerate(self._repo.iter_rows())
-
-    def _packed_rows(self, backend: str):
-        if backend == "python":
-            return enumerate(self._repo.iter_row_masks())
-        if backend == "frozenset":
-            return enumerate(self._repo.iter_rows())
-        if backend == "numpy":
-            def rows():
-                for start, matrix in self._repo.iter_chunk_matrices():
-                    for i in range(matrix.shape[0]):
-                        yield start + i, matrix[i]
-            return rows()
-        raise ValueError(f"unsupported packed backend {backend!r}")
-
-    def _chunk_rows(self, backend: str):
-        """One chunk per shard, in the shard geometry of the repository."""
-        if backend == "numpy":
-            return self._repo.iter_chunk_matrices()
-        if backend == "python":
-            return self._repo.iter_chunk_masks()
-        raise ValueError(f"unsupported chunk backend {backend!r}")
-
-    # -- executor-driven gains scans -----------------------------------
-    @property
-    def jobs(self) -> int:
-        """The resolved scan-executor worker count."""
-        return self._scan_executor().jobs
-
-    def _scan_executor(self):
-        if self._executor is None:
-            self._executor = executor_for(
-                self._jobs,
-                repository_words=self._repo.repository_words,
-                planner=self._planner,
-                transport=self._transport,
-                workers=self._workers,
-                retry=self._retry,
-            )
-        return self._executor
-
-    def _scan_gains_chunked(
-        self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
-    ):
-        return self._scan_executor().iter_scan_repository(
-            self._repo,
-            mask_int,
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-            include_gains=include_gains,
-        )
-
-    def _scan_accepts_chunked(self, mask_int, threshold):
-        return self._scan_executor().iter_accept_repository(
-            self._repo, mask_int, threshold
-        )
-
-    # ------------------------------------------------------------------
-    def verify_solution(self, selection) -> bool:
-        """Out-of-band feasibility check (referee functionality, no pass).
-
-        Streams the union of the selected rows off the repository without
-        materializing the instance.
-        """
-        ids = set(selection)
-        covered = 0
-        for mask in (self._repo.row_mask(i) for i in sorted(ids)):
-            covered |= mask
-        return covered == (1 << self._repo.n) - 1 if self._repo.n else True
-
-    @property
-    def system(self) -> SetSystem:
-        """Referee access: materialize (and cache) the full instance.
-
-        Loads the entire repository into RAM — tests and benchmarks only,
-        exactly the cost streaming algorithms must not pay.
-        """
-        if self._materialized is None:
-            self._materialized = self._repo.to_system()
-        return self._materialized
 
     def __repr__(self) -> str:
         return f"ShardedSetStream({self._repo!r}, passes={self.passes})"

@@ -4,20 +4,24 @@
 and an algorithm can access the sets only by performing sequential scans of
 the repository."  (Section 1.)
 
-:class:`SetStreamBase` enforces exactly that: the only way to see the family
-is to open a pass and consume it sequentially; every completed (or
-abandoned) pass increments the pass counter.  Random access raises.  Two
-repositories implement the protocol:
+:class:`SetStreamBase` enforces exactly that over one read interface, the
+*repository* (``n``, ``m``, ``shard_count``, ``scan_shard``, chunk and row
+iterators, ``row_mask``): the only way to see the family is to open a pass
+and consume it sequentially; every completed (or abandoned) pass increments
+the pass counter.  Random access raises.  Two repositories implement the
+interface:
 
-* :class:`SetStream` — the family lives in an in-RAM
-  :class:`~repro.setsystem.set_system.SetSystem` (the seed's model);
-* :class:`~repro.streaming.sharded.ShardedSetStream` — the family lives in
-  an on-disk shard directory (:mod:`repro.setsystem.shards`) and is scanned
-  chunk by chunk, so instances never need to fit in memory.
+* :class:`~repro.setsystem.in_memory.InMemoryRepository` — the family lives
+  in an in-RAM :class:`~repro.setsystem.set_system.SetSystem`
+  (:class:`SetStream`, the seed's model);
+* :class:`~repro.setsystem.shards.ShardedRepository` — the family lives in
+  an on-disk shard directory, scanned chunk by chunk, so instances never
+  need to fit in memory (:class:`~repro.streaming.sharded.ShardedSetStream`).
 
 Algorithms are written against the protocol only (``n``, ``m``,
-``passes``, ``iterate``, ``iterate_packed``, ``iterate_chunks``), so the
-same pass-for-pass code runs over both repositories.
+``passes``, ``iterate``, ``iterate_packed``, ``scan_gains_chunked``,
+``scan_accepts_chunked``), so the same pass-for-pass code runs over both
+repositories.
 
 Space accounting rule (DESIGN.md §3.6): the repository itself is *never*
 charged to an algorithm — it is the read-only input, whether it resides in
@@ -39,13 +43,9 @@ from repro.engine import (
     executor_for,
     merge_scan_parts,
 )
-from repro.setsystem.packed import ScanMask
+from repro.setsystem.deltas import MergedShardView
+from repro.setsystem.in_memory import InMemoryRepository
 from repro.setsystem.set_system import SetSystem
-
-try:  # the scan fast path prefers packed matrices; big-ints otherwise
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "SetStream",
@@ -96,27 +96,79 @@ def stream_resident_words(stream) -> int:
 
 
 class SetStreamBase:
-    """Pass-counted sequential access: the protocol algorithms consume.
+    """Pass-counted sequential access to a repository: the protocol.
 
-    Subclasses provide the repository (:meth:`_frozenset_rows`,
-    :meth:`_packed_rows`, :meth:`_chunk_rows`) plus ``n``/``m``; this base
-    enforces the single-read-head discipline and counts passes.
+    Holds the repository and the scan knobs, enforces the single-read-head
+    discipline and counts passes.  Every pass flavour reads the family
+    through the repository interface only, so one implementation serves
+    in-memory and on-disk families alike.
+
+    Parameters
+    ----------
+    repository:
+        An :class:`~repro.setsystem.in_memory.InMemoryRepository`, a
+        :class:`~repro.setsystem.shards.ShardedRepository` or a
+        :class:`~repro.setsystem.deltas.MergedShardView`.
+    jobs, planner, transport, workers, retry:
+        The scan-executor knobs (:func:`repro.engine.executor_for`).
+        The process and remote transports re-open the repository by
+        path in their workers, so a repository without a ``path`` (an
+        in-memory family) refuses them here; an in-memory family scans
+        with threads when ``jobs`` resolves above one.
     """
 
-    def __init__(self):
+    def __init__(
+        self,
+        repository,
+        jobs=JOBS_AUTO,
+        planner: bool = True,
+        transport: "str | None" = None,
+        workers=None,
+        retry=None,
+    ):
+        if repository.path is None and (
+            transport in ("process", "remote") or workers
+        ):
+            raise ValueError(
+                f"the {transport or 'remote'} transport scans on-disk shard "
+                "repositories only: its workers re-open the family by path, "
+                "and an in-memory family has none. Write it with `repro "
+                "shard create` (or write_shards) and open a ShardedSetStream."
+            )
+        if isinstance(repository, MergedShardView) and (
+            transport == "remote" or workers
+        ):
+            raise ValueError(
+                "the remote transport cannot scan a repository with "
+                f"{repository.pending_deltas} pending delta generation(s): "
+                "remote workers re-open the base by path and hold no chain "
+                "state. Run `repro shard compact` first."
+            )
+        self._repo = repository
+        self._jobs = jobs
+        self._planner = bool(planner)
+        self._transport = transport
+        self._workers = workers
+        self._retry = retry
+        self._executor = None
+        self._materialized: "SetSystem | None" = None
         self._passes = 0
         self._in_pass = False
 
     # ------------------------------------------------------------------
     @property
-    def n(self) -> int:  # pragma: no cover - overridden
+    def n(self) -> int:
         """Ground-set size (known to the algorithm up front)."""
-        raise NotImplementedError
+        return self._repo.n
 
     @property
-    def m(self) -> int:  # pragma: no cover - overridden
-        """Number of sets in the repository (metadata, costs no pass)."""
-        raise NotImplementedError
+    def m(self) -> int:
+        """Number of sets in the repository.
+
+        The paper's algorithms know m (it appears in their sample sizes), so
+        the stream exposes it as metadata without costing a pass.
+        """
+        return self._repo.m
 
     @property
     def passes(self) -> int:
@@ -127,11 +179,12 @@ class SetStreamBase:
     def resident_words(self) -> int:
         """Words of scan buffer resident while a pass is open.
 
-        Zero for in-memory repositories (rows are yielded by reference);
-        the sharded stream reports one chunk of packed words.  Algorithms
-        fold this into their reported peak (DESIGN.md §3.6).
+        The repository's ``chunk_words``: zero for in-memory families
+        (rows are yielded by reference), one chunk of packed words
+        (``chunk_rows * ceil(n/64)``) for on-disk ones.  Algorithms fold
+        this into their reported peak (DESIGN.md §3.6).
         """
-        return 0
+        return self._repo.chunk_words
 
     def reset_passes(self) -> None:
         """Zero the pass counter (for reusing one stream across runs)."""
@@ -159,14 +212,21 @@ class SetStreamBase:
             self._in_pass = False
 
     # -- repository hooks ----------------------------------------------
-    def _frozenset_rows(self) -> Iterator[tuple[int, frozenset[int]]]:
-        raise NotImplementedError  # pragma: no cover - overridden
+    def _frozenset_rows(self):
+        return enumerate(self._repo.iter_rows())
 
-    def _packed_rows(self, backend: str) -> Iterator[tuple[int, object]]:
-        raise NotImplementedError  # pragma: no cover - overridden
-
-    def _chunk_rows(self, backend: str) -> Iterator[tuple[int, object]]:
-        raise NotImplementedError  # pragma: no cover - overridden
+    def _packed_rows(self, backend: str):
+        if backend == "python":
+            return enumerate(self._repo.iter_row_masks())
+        if backend == "frozenset":
+            return enumerate(self._repo.iter_rows())
+        if backend == "numpy":
+            def rows():
+                for start, matrix in self._repo.iter_chunk_matrices():
+                    for i in range(matrix.shape[0]):
+                        yield start + i, matrix[i]
+            return rows()
+        raise ValueError(f"unsupported packed backend {backend!r}")
 
     # -- the pass flavours ---------------------------------------------
     def iterate(self) -> Iterator[tuple[int, frozenset[int]]]:
@@ -181,19 +241,6 @@ class SetStreamBase:
         kernel backend (DESIGN.md §4) instead of frozensets.
         """
         return self._scan(lambda: self._packed_rows(backend))
-
-    def iterate_chunks(self, backend: str = "numpy") -> Iterator[tuple[int, object]]:
-        """Open a pass yielding ``(first_set_id, chunk)`` batches.
-
-        One pass, delivered as packed chunk batches instead of single
-        rows: ``backend="numpy"`` yields read-only ``(rows, words)``
-        ``uint64`` matrices (the :class:`~repro.setsystem.packed.NumpyPackedFamily`
-        block layout), ``backend="python"`` yields lists of integer
-        bitmasks.  Chunk geometry follows the repository (one chunk per
-        shard on disk; a single chunk for in-memory systems), so batch
-        kernels can stream families that never fit in RAM.
-        """
-        return self._scan(lambda: self._chunk_rows(backend))
 
     # -- executor-driven gains scans -----------------------------------
     def scan_gains_chunked(
@@ -301,10 +348,9 @@ class SetStreamBase:
         workers.  Observability only — surfaced in
         ``ScanResult.extra["cache"]``, never consulted by results.
         """
-        executor = getattr(self, "_executor", None)
-        if executor is None:
+        if self._executor is None:
             return None
-        return executor.cache_stats
+        return self._executor.cache_stats
 
     @property
     def fault_log(self):
@@ -313,15 +359,72 @@ class SetStreamBase:
         Truthy exactly when the stream's scans recorded recoverable
         fault events (see :class:`repro.engine.fault.FaultLog`).
         """
-        return getattr(getattr(self, "_executor", None), "fault_log", None)
+        return getattr(self._executor, "fault_log", None)
+
+    @property
+    def jobs(self) -> int:
+        """The resolved scan-executor worker count."""
+        return self._scan_executor().jobs
+
+    def _scan_executor(self):
+        if self._executor is None:
+            transport = self._transport
+            if self._repo.path is None and transport in (None, "local"):
+                # Threads share the resident family, and the packed
+                # kernels release the GIL, so in-memory scans overlap.
+                transport = "thread"
+            self._executor = executor_for(
+                self._jobs,
+                repository_words=self._repo.repository_words,
+                planner=self._planner,
+                transport=transport,
+                workers=self._workers,
+                retry=self._retry,
+            )
+        return self._executor
 
     def _scan_gains_chunked(
         self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
     ):
-        raise NotImplementedError  # pragma: no cover - overridden
+        return self._scan_executor().iter_scan_repository(
+            self._repo,
+            mask_int,
+            min_capture_gain=min_capture_gain,
+            capture_ids=capture_ids,
+            best_only=best_only,
+            include_gains=include_gains,
+        )
 
     def _scan_accepts_chunked(self, mask_int, threshold):
-        raise NotImplementedError  # pragma: no cover - overridden
+        return self._scan_executor().iter_accept_repository(
+            self._repo, mask_int, threshold
+        )
+
+    # ------------------------------------------------------------------
+    def verify_solution(self, selection) -> bool:
+        """Out-of-band feasibility check (referee functionality, no pass).
+
+        Unions the selected rows off the repository without
+        materializing the instance; ids outside ``[0, m)`` raise
+        ``IndexError``.  This is *not* part of the streaming model and
+        must not be called by algorithms.
+        """
+        covered = 0
+        for i in sorted(set(selection)):
+            covered |= self._repo.row_mask(i)
+        return covered == (1 << self.n) - 1
+
+    @property
+    def system(self) -> SetSystem:
+        """Referee access to the full instance (tests/benchmarks only).
+
+        An in-memory stream returns its own system; a sharded one loads
+        (and caches) the entire repository — exactly the cost streaming
+        algorithms must not pay.
+        """
+        if self._materialized is None:
+            self._materialized = self._repo.to_system()
+        return self._materialized
 
 
 class SetStream(SetStreamBase):
@@ -336,26 +439,21 @@ class SetStream(SetStreamBase):
     jobs:
         Scan-executor parallelism for :meth:`scan_gains` (``"auto"`` or a
         positive worker count).  ``auto`` stays serial for in-memory
-        instances below the parallel threshold.  Results are identical
-        at every setting (DESIGN.md §6).
+        instances below the parallel threshold; above one, scans run on
+        threads.  Results are identical at every setting (DESIGN.md §6).
     planner:
-        Adaptive scan planning (DESIGN.md §8): cost-balanced chunk
-        schedules and overlapped prefetch.  ``False`` reproduces the
-        PR 3 execution order; results are identical either way.
+        Adaptive scan planning (DESIGN.md §8).  Results are identical
+        either way.
     transport:
         Scan-engine backend family (``"local"``, ``"serial"``,
-        ``"thread"``, ``"process"``, ``"remote"``; ``None`` = local
-        auto).  In-memory streams cannot use ``"remote"`` — remote
-        workers open shard repositories by path (DESIGN.md §9).
+        ``"thread"``; ``None`` = local auto).  ``"process"`` and
+        ``"remote"`` raise ``ValueError``: their workers open shard
+        repositories by path (DESIGN.md §9).
     workers:
-        Remote worker addresses (implies ``transport="remote"``); see
-        :func:`repro.engine.plan.resolve_workers`.
+        Remote worker addresses — a ``ValueError`` here, as above.
     retry:
-        Remote failure handling
-        (:meth:`repro.engine.fault.RetryPolicy.resolve` input).  Only
-        meaningful with the remote transport — an in-memory stream with
-        a retry policy is a ``ValueError``, same as the other
-        cannot-take-effect knob combinations.
+        Remote failure handling — a ``ValueError`` here, same as the
+        other cannot-take-effect knob combinations.
 
     Examples
     --------
@@ -376,120 +474,8 @@ class SetStream(SetStreamBase):
         workers=None,
         retry=None,
     ):
-        super().__init__()
-        self._system = system
-        self._jobs = jobs
-        self._planner = bool(planner)
-        self._transport = transport
-        self._workers = workers
-        self._retry = retry
-        self._executor = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Ground-set size (known to the algorithm up front)."""
-        return self._system.n
-
-    @property
-    def m(self) -> int:
-        """Number of sets in the repository.
-
-        The paper's algorithms know m (it appears in their sample sizes), so
-        the stream exposes it as metadata without costing a pass.
-        """
-        return self._system.m
-
-    # -- repository hooks ----------------------------------------------
-    def _frozenset_rows(self):
-        return enumerate(self._system.sets)
-
-    def _packed_rows(self, backend: str):
-        family = self._system.packed(backend)
-        return ((i, family.row(i)) for i in range(family.m))
-
-    def _chunk_rows(self, backend: str):
-        """One whole-family chunk (the in-RAM system has no shard geometry)."""
-        if backend == "numpy":
-            return iter([(0, self._system.packed("numpy").matrix)])
-        if backend == "python":
-            return iter([(0, self._system.masks())])
-        raise ValueError(f"unsupported chunk backend {backend!r}")
-
-    # -- executor-driven gains scans -----------------------------------
-    @property
-    def jobs(self) -> int:
-        """The resolved scan-executor worker count."""
-        return self._scan_executor().jobs
-
-    def _scan_executor(self):
-        if self._executor is None:
-            words = (self.n + 63) // 64
-            self._executor = executor_for(
-                self._jobs,
-                repository_words=self.m * words,
-                planner=self._planner,
-                transport=self._transport,
-                workers=self._workers,
-                retry=self._retry,
-            )
-        return self._executor
-
-    def _scan_gains_chunked(
-        self, mask_int, min_capture_gain, capture_ids, best_only, include_gains
-    ):
-        executor = self._scan_executor()
-        mask = ScanMask(self.n, mask_int)
-        return executor.iter_scan_chunks(
-            self.n,
-            self._scan_chunk_source(executor.jobs),
-            mask,
-            min_capture_gain=min_capture_gain,
-            capture_ids=capture_ids,
-            best_only=best_only,
-            include_gains=include_gains,
-        )
-
-    def _scan_accepts_chunked(self, mask_int, threshold):
-        executor = self._scan_executor()
-        mask = ScanMask(self.n, mask_int)
-        return executor.iter_accept_chunks(
-            self.n, self._scan_chunk_source(executor.jobs), mask, threshold
-        )
-
-    def _scan_chunk_source(self, jobs: int):
-        """Virtual chunks of the in-RAM family for the scan executor.
-
-        Serial scans take the whole family as one chunk; parallel scans
-        split it into ``2 * jobs`` row slices so workers load-balance.
-        The split never changes results — chunks merge by start row.
-        """
-        m = self._system.m
-        if m == 0:
-            return []
-        chunk_rows = m if jobs <= 1 else max(1, -(-m // (2 * jobs)))
-        if np is not None:
-            matrix = self._system.packed("numpy").matrix
-            return [
-                (start, matrix[start : start + chunk_rows])
-                for start in range(0, m, chunk_rows)
-            ]
-        masks = self._system.masks()
-        return [
-            (start, masks[start : start + chunk_rows])
-            for start in range(0, m, chunk_rows)
-        ]
-
-    # ------------------------------------------------------------------
-    def verify_solution(self, selection) -> bool:
-        """Out-of-band feasibility check used by tests and benchmarks.
-
-        This is *referee* functionality, not part of the streaming model;
-        it does not consume a pass and must not be called by algorithms.
-        """
-        return self._system.is_cover(selection)
-
-    @property
-    def system(self) -> SetSystem:
-        """Referee access to the full instance (tests/benchmarks only)."""
-        return self._system
+        repository = InMemoryRepository(system)
+        super().__init__(repository, jobs, planner, transport, workers, retry)
+        # Serial scans take the family as one slice, parallel ones as
+        # 2 * jobs slices so the threads load-balance.
+        repository.lanes = self.jobs

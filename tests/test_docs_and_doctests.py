@@ -30,6 +30,7 @@ DOCTEST_MODULES = [
     "repro.engine.merge",
     "repro.engine.transport",
     "repro.setsystem.set_system",
+    "repro.setsystem.in_memory",
     "repro.setsystem.io",
     "repro.setsystem.shards",
     "repro.streaming.stream",

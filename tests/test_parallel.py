@@ -8,8 +8,7 @@ schedule) is an execution detail, never an observable one.  Crash
 hygiene is part of the contract: a worker dying mid-scan must fail
 loudly, leak no SharedMemory, and leave the pool machinery able to
 serve the next scan.  The remote backend's half of the contract lives
-in ``tests/test_remote.py``; the deprecated ``setsystem.parallel`` shim
-is pinned here too.
+in ``tests/test_remote.py``.
 """
 
 from __future__ import annotations
@@ -128,35 +127,6 @@ def test_executor_for_transport_dispatch():
         executor_for(2, transport="remote")
 
 
-def test_setsystem_parallel_shim_is_deprecated_but_complete():
-    """The old import location warns and forwards every public name."""
-    import importlib
-    import sys
-
-    import repro.engine as engine
-
-    sys.modules.pop("repro.setsystem.parallel", None)
-    with pytest.warns(DeprecationWarning, match="repro.engine"):
-        shim = importlib.import_module("repro.setsystem.parallel")
-    for name in shim.__all__:
-        assert getattr(shim, name) is getattr(engine, name), name
-    # The pre-engine surface survived the move wholesale.
-    for name in ("JOBS_AUTO", "AcceptBatch", "ScanExecutor", "ScanResult",
-                 "SerialScanExecutor", "ProcessScanExecutor",
-                 "ThreadScanExecutor", "capture_words", "executor_for",
-                 "merge_scan_parts", "plan_batches", "resolve_jobs",
-                 "shutdown_pools", "simulate_accepts", "thread_map"):
-        assert name in shim.__all__, name
-    # Attribute access through the package keeps working too (the shim
-    # used to be imported eagerly, binding it as a package attribute).
-    import repro.setsystem
-
-    assert repro.setsystem.parallel.resolve_jobs is engine.resolve_jobs
-    assert repro.setsystem.executor_for is engine.executor_for  # PEP 562
-    with pytest.raises(AttributeError):
-        repro.setsystem.no_such_name
-
-
 def test_plan_batches_partitions_contiguously():
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -201,7 +171,10 @@ def test_scan_gains_identical_across_jobs_and_encodings(tmp_path):
             sum(1 << e for e in range(0, system.n, 2))
         )
         reference = None
-        streams = [lambda j: SetStream(system, jobs=j)]
+        streams = [
+            lambda j, t=transport: SetStream(system, jobs=j, transport=t)
+            for transport in LOCAL_TRANSPORTS
+        ]
         for encoding in ENCODINGS_UNDER_TEST:
             path = write_shards(
                 tmp_path / f"{case}-{encoding}", system,
@@ -561,8 +534,8 @@ def test_capture_scratch_is_chunk_bounded(tmp_path):
     assert bounded.selection == result.selection == [0]
 
 
-def test_set_stream_algorithms_with_process_jobs():
-    """In-memory streams accept jobs too (chunks ship to the workers)."""
+def test_set_stream_algorithms_with_thread_jobs():
+    """In-memory streams accept jobs too (row slices scan on threads)."""
     system, _ = build_instance("planted", dict(n=100, m=200, opt=8), seed=1)
     for algo in (
         lambda s: ThresholdGreedy().solve(s),

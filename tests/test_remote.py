@@ -124,10 +124,12 @@ def test_executor_for_builds_remote():
 
 
 def test_remote_refuses_in_memory_chunk_scans(worker_fleet):
+    """Path-based transports refuse an in-memory family at construction."""
     system = SetSystem(8, [[0, 1], [2]])
-    stream = SetStream(system, transport="remote", workers=worker_fleet)
-    with pytest.raises(RuntimeError, match="shard repositories only"):
-        list(stream.scan_gains_chunked((1 << 8) - 1))
+    with pytest.raises(ValueError, match="shard repositories only"):
+        SetStream(system, transport="remote", workers=worker_fleet)
+    with pytest.raises(ValueError, match="shard repositories only"):
+        SetStream(system, transport="process", jobs=2)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,8 @@ class TestQueries:
     def test_is_cover(self, tiny_system):
         assert tiny_system.is_cover([0, 1])
         assert not tiny_system.is_cover([0])
+        with pytest.raises(IndexError, match="outside"):
+            tiny_system.is_cover([-1])  # negative ids must not wrap
 
     def test_covered_by(self, tiny_system):
         assert tiny_system.covered_by([0, 2]) == frozenset({0, 1, 2})

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines import MultiPassGreedy, StoreAllGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
 from repro.partial.streaming import PartialIterSetCover, PartialThreshold
-from repro.setsystem import SetSystem
+from repro.setsystem import InMemoryRepository, SetSystem
 from repro.setsystem.packed import ScanMask
 from repro.setsystem.shards import (
     ENCODINGS,
@@ -444,23 +444,19 @@ def test_pass_counting_parity_on_random_instances(tmp_path):
 def test_chunk_iteration_covers_family_and_counts_one_pass(tmp_path):
     path, system = _write_sample(tmp_path)
     stream = ShardedSetStream(path)
-    starts, total = [], 0
-    for start, matrix in stream.iterate_chunks("numpy"):
-        starts.append(start)
-        total += matrix.shape[0]
-    assert total == system.m and starts[0] == 0 and stream.passes == 1
+    for repository in (stream.repository, InMemoryRepository(system),
+                       InMemoryRepository(system, lanes=2)):
+        starts, total = [], 0
+        for start, matrix in repository.iter_chunk_matrices():
+            starts.append(start)
+            total += matrix.shape[0]
+        assert total == system.m and starts[0] == 0
+        assert len(starts) == repository.shard_count
 
-    masks = []
-    for _, chunk in stream.iterate_chunks("python"):
-        masks.extend(chunk)
-    assert masks == system.masks()
-    assert stream.passes == 2
-
-    mem = SetStream(system)
-    mem_masks = []
-    for _, chunk in mem.iterate_chunks("python"):
-        mem_masks.extend(chunk)
-    assert mem_masks == masks and mem.passes == 1
+        masks = []
+        for _, chunk in repository.iter_chunk_masks():
+            masks.extend(chunk)
+        assert masks == system.masks()
     stream.close()
 
 

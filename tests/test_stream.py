@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.setsystem import SetSystem
-from repro.streaming import ResourceReport, SetStream, StreamAccessError
+from repro.setsystem import SetSystem, write_shards
+from repro.streaming import (
+    ResourceReport,
+    SetStream,
+    ShardedSetStream,
+    StreamAccessError,
+)
 
 
 class TestPassCounting:
@@ -65,11 +70,15 @@ class TestOrderAndContent:
         sets = [r for _, r in stream.iterate()]
         assert sets == list(tiny_system.sets)
 
-    def test_verify_solution_does_not_cost_a_pass(self, tiny_system):
-        stream = SetStream(tiny_system)
-        assert stream.verify_solution([0, 1])
-        assert not stream.verify_solution([0])
-        assert stream.passes == 0
+    def test_verify_solution_does_not_cost_a_pass(self, tiny_system, tmp_path):
+        sharded = ShardedSetStream(write_shards(tmp_path / "r", tiny_system))
+        for stream in (SetStream(tiny_system), sharded):
+            assert stream.verify_solution([0, 1])
+            assert not stream.verify_solution([0])
+            with pytest.raises(IndexError, match="outside"):
+                stream.verify_solution([-1])  # negative ids must not wrap
+            assert stream.passes == 0
+        sharded.close()
 
 
 class TestResourceReport:
