@@ -247,10 +247,18 @@ class ChaosProxy:
         if sabotage:
             with self._lock:
                 self._sabotaged += 1
+        upstream = None
         try:
             upstream = socket.create_connection(self.upstream, timeout=10.0)
+            # Both legs without Nagle, as the transport's own sockets
+            # (``remote._nodelay``): the chaos jobs must measure the fault
+            # they inject, not delayed-ACK stalls the proxy added.
+            for leg in (client, upstream):
+                leg.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             _close_quietly(client)
+            if upstream is not None:
+                _close_quietly(upstream)
             return
         with self._lock:
             self._live.update((client, upstream))

@@ -13,7 +13,9 @@ one logical scan over a fleet of worker processes reachable by TCP:
   they complete;
 * the **driver** (:class:`RemoteScanExecutor`) plans contiguous
   cost-balanced shard batches (:func:`repro.engine.plan.plan_batches`),
-  feeds them through a shared work queue to one lane thread per worker,
+  deals them to one lane thread per worker (lanes block until work
+  arrives — no polling — and every socket runs without Nagle's
+  algorithm, so a pass costs its scan, not a fixed stall; §16),
   and funnels every reply through the shared
   :class:`~repro.engine.merge.ReorderWindow` — so whatever order
   workers finish in, consumers observe exactly the serial executor's
@@ -282,6 +284,18 @@ def _decode_gains(payload: bytes):
         int.from_bytes(payload[i : i + 8], "little", signed=True)
         for i in range(0, len(payload), 8)
     ]
+
+
+def _nodelay(sock: socket.socket) -> None:
+    """Turn off Nagle's algorithm on ``sock``.
+
+    The protocol writes small frames back to back (request then mask;
+    one ``result`` frame per shard) and the reader sends nothing in
+    between, so with Nagle on every small frame after the first waits
+    for the peer's delayed ACK — a fixed stall per frame that dwarfs
+    the scan itself (DESIGN.md §16).
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def _close_socket(sock) -> None:
@@ -567,6 +581,7 @@ class WorkerServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             try:
+                _nodelay(conn)
                 hello = recv_json(conn)
                 if hello.get("op") != "hello":
                     raise ProtocolError(f"expected hello, got {hello.get('op')!r}")
@@ -738,6 +753,7 @@ def _dial_once(worker, policy, shown: str, offer: int):
             "(is `python -m repro worker serve` running there?)"
         ) from exc
     try:
+        _nodelay(sock)
         send_json(sock, {"op": "hello", "protocol": offer})
         reply = recv_json(sock)
         if reply.get("op") == "error":
@@ -897,8 +913,8 @@ class _ScanState:
     Work is dealt in two tiers.  ``assignment`` (from the executor's
     throughput-weighted placement) seeds a per-worker deque each lane
     drains first — that is what steers shards toward the workers whose
-    hot caches hold them.  The shared overflow queue takes everything
-    else: unassigned batches, every requeue from the fault paths (a
+    hot caches hold them.  The overflow deque takes everything else:
+    unassigned batches, every requeue from the fault paths (a
     re-dispatched batch must be grabbable by *any* surviving lane), and
     the drained deque of an exiting lane.  An idle lane steals from the
     *tail* of the longest peer deque before blocking, so a skewed
@@ -906,18 +922,28 @@ class _ScanState:
     Placement decides only *where* a shard is scanned; the reorder
     window alone decides observation order, so results are bit-identical
     under every assignment.
+
+    One :class:`threading.Condition` guards all of it, and lanes block
+    on it instead of polling: :meth:`take` waits until work arrives, the
+    scan finishes or stops, or the caller's heartbeat is due.  Every
+    event that can hand a waiting lane something to do notifies —
+    :meth:`requeue`, the spill in :meth:`note_exit`, the
+    :meth:`batch_done` that completes the scan, and :meth:`stop` — so a
+    pass ends the moment its last batch does (DESIGN.md §16).
     """
 
     def __init__(self, shard_count: int, batches, assignment=None):
         self.shard_count = shard_count
-        self.stop = threading.Event()
+        #: Set once by :meth:`stop`; lanes also sleep their retry
+        #: backoff on it, so a stopped scan cuts those sleeps short.
+        self.stopped = threading.Event()
         self.results: "queue.Queue[tuple]" = queue.Queue()
-        self.work: "queue.Queue[_Batch]" = queue.Queue()
         #: Workers participating in this scan — the denominator for the
         #: "every worker reports this batch's generation stale" check.
         self.roster: set = set()
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
         self._local: dict = {}  # worker -> deque of assigned batches
+        self._overflow: collections.deque = collections.deque()
         self._delivered: set = set()
         #: worker -> {"delivered": n, "hot": n}; "driver" for salvage.
         self.delivered_by: dict = {}
@@ -931,11 +957,22 @@ class _ScanState:
         for batch in batches:
             worker = assignment.get(batch.index) if assignment else None
             if worker is None:
-                self.work.put(batch)
+                self._overflow.append(batch)
             else:
                 self._local.setdefault(
                     worker, collections.deque()
                 ).append(batch)
+
+    def _salvage_if_quorum_locked(self, batch: _Batch) -> bool:
+        """Hand ``batch`` to the driver once every still-running rostered
+        lane has reported it stale (exactly once); caller holds the lock."""
+        if batch.index in self._stale_queued:
+            return True
+        if self.roster - self._exited <= batch.stale_workers:
+            self._stale_queued.add(batch.index)
+            self.results.put(("stale", batch))
+            return True
+        return False
 
     def mark_stale(self, batch: _Batch, worker) -> bool:
         """Record one stale-repository report against ``batch``.
@@ -947,58 +984,85 @@ class _ScanState:
         ``False`` means the caller should requeue the batch for the
         remaining workers.
         """
-        with self._lock:
+        with self._cond:
             batch.stale_workers.add(worker)
-            if batch.index in self._stale_queued:
-                return True
-            if self.roster - self._exited <= batch.stale_workers:
-                self._stale_queued.add(batch.index)
-                self.results.put(("stale", batch))
-                return True
-            return False
+            return self._salvage_if_quorum_locked(batch)
 
     def note_exit(self, worker) -> None:
         """A lane is gone: stop counting it toward the stale quorum, and
-        spill its still-assigned batches to the shared queue so no
-        placement decision can strand work on a dead lane."""
-        with self._lock:
-            self._exited.add(worker)
-            spill = self._local.pop(worker, None)
-        if spill:
-            for batch in spill:
-                self.work.put(batch)
+        spill its still-assigned batches to the overflow deque so no
+        placement decision can strand work on a dead lane.
 
-    def take(self, worker, timeout: float):
-        """Next batch for ``worker``: own deque, overflow queue, steal."""
-        with self._lock:
-            own = self._local.get(worker)
-            if own:
-                return own.popleft()
-        try:
-            return self.work.get_nowait()
-        except queue.Empty:
-            pass
-        with self._lock:
-            victim = max(
-                (dq for w, dq in self._local.items() if dq and w != worker),
-                key=len, default=None,
-            )
-            if victim:
-                return victim.pop()
-        try:
-            return self.work.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        Its exit may complete the quorum of a queued batch the remaining
+        lanes already reported stale (:meth:`take` never hands those
+        back to them), so such batches go to the driver for salvage here.
+        """
+        with self._cond:
+            self._exited.add(worker)
+            self._overflow.extend(self._local.pop(worker, ()))
+            if self.roster - self._exited:
+                for batch in [b for b in self._overflow if b.stale_workers]:
+                    if self._salvage_if_quorum_locked(batch):
+                        self._overflow.remove(batch)
+            self._cond.notify_all()
+
+    def take(self, worker, timeout: "float | None" = None):
+        """Next batch for ``worker``: own deque, overflow, steal — or wait.
+
+        Blocks until a batch is available, returning ``None`` when the
+        scan finished or stopped, or when ``timeout`` seconds pass first
+        (``None`` = no timeout; a lane passes the time left until its
+        next heartbeat).  Never hands out a batch ``worker`` already
+        reported stale.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while True:
+                if self.stopped.is_set() or self._done_batches >= self._batches:
+                    return None
+                batch = self._next_locked(worker)
+                if batch is not None:
+                    return batch
+                if deadline is None:
+                    self._cond.wait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return None
+                    self._cond.wait(remaining)
+
+    def _next_locked(self, worker):
+        own = self._local.get(worker)
+        if own:
+            return own.popleft()
+        for batch in self._overflow:
+            if worker not in batch.stale_workers:
+                self._overflow.remove(batch)
+                return batch
+        victim = max(
+            (dq for w, dq in self._local.items() if dq and w != worker),
+            key=len, default=None,
+        )
+        return victim.pop() if victim else None
 
     def requeue(self, batch: _Batch) -> None:
-        self.work.put(batch)
+        with self._cond:
+            self._overflow.append(batch)
+            self._cond.notify_all()
+
+    def stop(self) -> None:
+        """End the scan for every lane: blocked :meth:`take` calls and
+        backoff sleeps return at once."""
+        with self._cond:
+            self.stopped.set()
+            self._cond.notify_all()
 
     def todo(self, batch: _Batch) -> list:
-        with self._lock:
+        with self._cond:
             return [s for s in batch.shards if s not in self._delivered]
 
     def deliver(self, shard: int, item, worker=None, hot: bool = False) -> None:
-        with self._lock:
+        with self._cond:
             self._delivered.add(shard)
             if worker is not None:
                 ledger = self.delivered_by.setdefault(
@@ -1011,21 +1075,31 @@ class _ScanState:
         self.results.put(("item", (shard, item)))
 
     def batch_done(self, batch: _Batch) -> None:
-        with self._lock:
+        with self._cond:
             self._done_batches += 1
+            if self._done_batches >= self._batches:
+                self._cond.notify_all()
 
     def finished(self) -> bool:
-        with self._lock:
+        with self._cond:
             return self._done_batches >= self._batches
 
     def undelivered(self) -> tuple:
-        with self._lock:
+        with self._cond:
             return tuple(sorted(set(range(self.shard_count)) - self._delivered))
 
 
 class _WorkerLane(threading.Thread):
-    """One worker's lane: pulls batches off the shared queue, streams
-    results, and converts faults into retry/re-dispatch decisions."""
+    """One worker's lane: takes batches from the :class:`_ScanState`,
+    streams results, and converts faults into retry/re-dispatch
+    decisions.
+
+    Between batches the lane blocks in :meth:`_ScanState.take` — no
+    polling.  It wakes when work arrives or the scan finishes or stops;
+    a lane holding an open connection also wakes when its next
+    heartbeat is due and pings its worker, so an idle peer that died is
+    noticed before it is handed a batch.
+    """
 
     def __init__(
         self, executor, worker, state, request, mask_bytes, accept_threshold,
@@ -1058,32 +1132,24 @@ class _WorkerLane(threading.Thread):
                     if self._note_failure():
                         return
             last_beat = time.monotonic()
-            while not state.stop.is_set():
-                batch = state.take(self.worker, timeout=0.25)
+            while True:
+                # Only a lane holding a connection heartbeats; without
+                # one it waits for work with no timeout at all.
+                heartbeat = (
+                    None if self.sock is None
+                    else last_beat + policy.ping_interval - time.monotonic()
+                )
+                batch = state.take(self.worker, heartbeat)
                 if batch is None:
-                    if state.finished():
+                    if state.stopped.is_set() or state.finished():
                         return
-                    if (
-                        self.sock is not None
-                        and time.monotonic() - last_beat >= policy.ping_interval
-                    ):
-                        last_beat = time.monotonic()
-                        if not self._ping() and self._note_failure():
-                            return
+                    last_beat = time.monotonic()
+                    if not self._ping() and self._note_failure():
+                        return
                     continue
                 todo = state.todo(batch)
                 if not todo:
                     state.batch_done(batch)
-                    continue
-                if self.worker in batch.stale_workers:
-                    # This worker already proved it cannot serve the
-                    # batch's generation; hand it back for a peer that
-                    # may still hold it cached, without burning a lap.
-                    # (mark_stale re-checks the quorum in case the
-                    # missing reporters have since exited.)
-                    if not state.mark_stale(batch, self.worker):
-                        state.requeue(batch)
-                        state.stop.wait(0.05)
                     continue
                 begin = time.monotonic()
                 try:
@@ -1104,7 +1170,7 @@ class _WorkerLane(threading.Thread):
                             state.requeue(batch)
                         continue
                     self._close()
-                    if state.stop.is_set():
+                    if state.stopped.is_set():
                         return  # scan abandoned: not a fault, just exit
                     batch.attempts += 1
                     executor.fault_log.record(
@@ -1131,7 +1197,7 @@ class _WorkerLane(threading.Thread):
                         state.batch_done(batch)
                     if self._note_failure():
                         return
-                    state.stop.wait(
+                    state.stopped.wait(
                         policy.backoff_seconds(batch.attempts, executor._rng)
                     )
                 else:
@@ -1758,7 +1824,7 @@ class RemoteScanExecutor(ScanExecutor):
                         window.push(shard, item)
                         yield from window.pop_ready()
         finally:
-            state.stop.set()
+            state.stop()
             for lane in lanes:
                 lane.close_socket()
             for lane in lanes:

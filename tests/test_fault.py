@@ -35,13 +35,14 @@ from repro.engine import (
     chaos_spec_from_env,
     executor_for,
     parse_chaos_spec,
+    plan_batches,
     shutdown_pools,
 )
 from repro.engine.fault import chaos as chaos_mod
 from repro.engine.transport import remote as remote_mod
 from repro.engine.transport.remote import ProtocolError, spawn_local_worker
 from repro.setsystem import SetSystem
-from repro.setsystem.shards import write_shards
+from repro.setsystem.shards import ShardedRepository, write_shards
 from repro.streaming import ShardedSetStream
 
 ENCODINGS_UNDER_TEST = ("dense", "auto")
@@ -618,7 +619,9 @@ def test_idle_lane_ping_notices_a_dead_peer(worker_fleet):
     executor = RemoteScanExecutor([worker_fleet[0]], retry=policy)
     # A healthy peer pongs.
     state = remote_mod._ScanState(1, [remote_mod._Batch(0, [0])])
-    state.work.get()  # park the batch so the lane idles forever
+    # A peer takes the only batch and never finishes it, so the scan
+    # stays open and the lane under test idles until stopped.
+    assert state.take("peer") is not None
     lane = remote_mod._WorkerLane(
         executor, worker_fleet[0], state, {}, b"\x00", None, True,
     )
@@ -641,7 +644,7 @@ def test_idle_lane_ping_notices_a_dead_peer(worker_fleet):
                    for event in executor.fault_log.events):
                 break
             time.sleep(0.02)
-        state.stop.set()
+        state.stop()
         lane.join(timeout=10.0)
         assert not lane.is_alive()
     pings = [event for event in executor.fault_log.events
@@ -656,10 +659,18 @@ def test_idle_lane_ping_notices_a_dead_peer(worker_fleet):
 def test_sigkill_mid_batch_redispatches_to_survivor(tmp_path):
     """One subprocess worker SIGKILLs itself after its first shard
     result; with retries the survivor finishes the batch and the scan is
-    bit-identical to serial — the tentpole acceptance test."""
-    system = SetSystem(64, [[i % 64, (i * 3) % 64] for i in range(30)])
+    bit-identical to serial — the tentpole acceptance test.
+
+    Every planned batch holds at least two shards, so the SIGKILL always
+    leaves an undelivered remainder that only a re-dispatch can deliver:
+    the scan cannot complete around the crash without recording it.
+    """
+    system = SetSystem(64, [[i % 64, (i * 3) % 64] for i in range(96)])
     path = write_shards(tmp_path / "kill", system, chunk_rows=4)
     mask_int = (1 << 64) - 1
+    with ShardedRepository(path) as repo:
+        plan = plan_batches(list(repo.shard_cost_estimates()), jobs=2)
+    assert min(len(batch) for batch in plan) >= 2, plan
     shm_dir = "/dev/shm"
     before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else set()
     serial = ShardedSetStream(path, jobs=1)

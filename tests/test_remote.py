@@ -16,8 +16,10 @@ worker SIGKILLs itself mid-scan.
 
 from __future__ import annotations
 
+import collections
 import os
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ import pytest
 from repro.baselines import MultiPassGreedy, ThresholdGreedy
 from repro.core import iter_set_cover
 from repro.engine import (
+    ChaosProxy,
     RemoteScanExecutor,
     WorkerServer,
     executor_for,
@@ -677,3 +680,144 @@ class TestThroughputPlacement:
         # ...while the matching key leans on the warm lane (discounted
         # cost makes home's projected finish earlier at equal load).
         assert with_affinity.get(home, 0) > with_affinity.get(other, 0)
+
+
+# ----------------------------------------------------------------------
+# Latency: no Nagle on any transport socket, lanes that wake on events
+# ----------------------------------------------------------------------
+def _nodelay_on(sock) -> bool:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def test_transport_sockets_disable_nagle(tmp_path):
+    """Driver, worker and both chaos-proxy legs all set TCP_NODELAY.
+
+    Small frames written back to back would otherwise each wait for the
+    peer's delayed ACK — a fixed stall per pass (DESIGN.md §16).
+    """
+    server = WorkerServer(tmp_path)
+    accepted = []
+    serve = server._serve_connection
+
+    def spy(conn):
+        accepted.append(conn)
+        serve(conn)
+
+    server._serve_connection = spy
+    server.start()
+    try:
+        sock, hello = remote_mod._connect(server.address)
+        try:
+            assert hello["op"] == "hello"
+            assert _nodelay_on(sock)
+            # The worker set the option before it answered the hello.
+            assert len(accepted) == 1 and _nodelay_on(accepted[0])
+        finally:
+            sock.close()
+        with ChaosProxy(server.address, mode="delay", delay=0.0) as proxy:
+            sock, _ = remote_mod._connect(proxy.address)
+            try:
+                with proxy._lock:
+                    legs = list(proxy._live)
+                assert len(legs) == 2
+                assert all(_nodelay_on(leg) for leg in legs)
+            finally:
+                sock.close()
+    finally:
+        server.stop()
+
+
+class TestScanStateWakeups:
+    """``_ScanState.take`` blocks without polling; each event wakes it.
+
+    The blocked thread passes no timeout (heartbeat disabled), so only a
+    notification can return it.  Each trigger runs only once the thread
+    is inside ``Condition.wait`` — the spy below signals that while the
+    lock is still held, so no wake-up can be lost to a race.
+    """
+
+    def _state(self, batches=1, assignment=None):
+        batch_list = [remote_mod._Batch(i, [i]) for i in range(batches)]
+        state = remote_mod._ScanState(batches, batch_list, assignment)
+        state.roster = {"lane", "peer"}
+        return state, batch_list
+
+    def _blocked_take(self, state, worker="lane"):
+        waiting = threading.Event()
+        wait = state._cond.wait
+
+        def spy(timeout=None):
+            waiting.set()
+            return wait(timeout)
+
+        state._cond.wait = spy
+        out = []
+        thread = threading.Thread(
+            target=lambda: out.append(state.take(worker)), daemon=True
+        )
+        thread.start()
+        assert waiting.wait(timeout=10)
+        return thread, out
+
+    def _joined(self, thread):
+        thread.join(timeout=10)
+        return not thread.is_alive()
+
+    def test_last_batch_done_wakes_an_idle_lane(self):
+        state, (batch,) = self._state()
+        assert state.take("peer") is batch
+        thread, out = self._blocked_take(state)
+        state.batch_done(batch)
+        assert self._joined(thread)
+        assert out == [None] and state.finished()
+
+    def test_stop_wakes_an_idle_lane(self):
+        state, (batch,) = self._state()
+        assert state.take("peer") is batch
+        thread, out = self._blocked_take(state)
+        state.stop()
+        assert self._joined(thread)
+        assert out == [None] and not state.finished()
+
+    def test_peer_requeue_wakes_an_idle_lane(self):
+        state, (batch,) = self._state()
+        assert state.take("peer") is batch
+        thread, out = self._blocked_take(state)
+        state.requeue(batch)
+        assert self._joined(thread)
+        assert out == [batch]
+
+    def test_peer_exit_spill_wakes_an_idle_lane(self):
+        state, (first, second) = self._state(2)
+        assert state.take("peer") is first
+        assert state.take("peer") is second
+        thread, out = self._blocked_take(state)
+        # Work lands in the exiting peer's deque without a notification
+        # (as if dealt to it before it died); only its spill may wake us.
+        with state._cond:
+            state._local["peer"] = collections.deque([second])
+        state.note_exit("peer")
+        assert self._joined(thread)
+        assert out == [second]
+
+    def test_stale_batch_is_never_handed_back(self):
+        state, (batch,) = self._state()
+        assert state.take("lane") is batch
+        assert state.mark_stale(batch, "lane") is False  # peer still may
+        state.requeue(batch)
+        assert state.take("lane", timeout=0) is None
+        assert state.take("peer", timeout=0) is batch
+        # The peer reports stale too: quorum, so the driver salvages it.
+        assert state.mark_stale(batch, "peer") is True
+        assert state.results.get_nowait() == ("stale", batch)
+
+    def test_exit_completes_the_stale_quorum_of_a_queued_batch(self):
+        state, (batch,) = self._state()
+        assert state.take("lane") is batch
+        assert state.mark_stale(batch, "lane") is False
+        state.requeue(batch)
+        # The one lane that could still serve it exits: the remaining
+        # lane never gets the batch back, the driver salvages it.
+        state.note_exit("peer")
+        assert state.results.get_nowait() == ("stale", batch)
+        assert state.take("lane", timeout=0) is None
