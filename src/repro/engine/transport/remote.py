@@ -927,9 +927,10 @@ class _ScanState:
     on it instead of polling: :meth:`take` waits until work arrives, the
     scan finishes or stops, or the caller's heartbeat is due.  Every
     event that can hand a waiting lane something to do notifies —
-    :meth:`requeue`, the spill in :meth:`note_exit`, the
-    :meth:`batch_done` that completes the scan, and :meth:`stop` — so a
-    pass ends the moment its last batch does (DESIGN.md §16).
+    :meth:`requeue` and the requeue inside :meth:`mark_stale`, the
+    spill in :meth:`note_exit`, the :meth:`batch_done` that completes
+    the scan, and :meth:`stop` — so a pass ends the moment its last
+    batch does (DESIGN.md §16).
     """
 
     def __init__(self, shard_count: int, batches, assignment=None):
@@ -975,18 +976,26 @@ class _ScanState:
         return False
 
     def mark_stale(self, batch: _Batch, worker) -> bool:
-        """Record one stale-repository report against ``batch``.
+        """Record one stale-repository report against ``batch``, and
+        either salvage it or requeue it — one locked step.
 
         Returns ``True`` when the batch is (or already was) handed to
         the driver for local salvage — exactly once, even when several
         lanes report concurrently — which happens as soon as every
         *still-running* rostered lane has reported the batch stale.
-        ``False`` means the caller should requeue the batch for the
-        remaining workers.
+        ``False`` means the batch is back on the overflow deque for the
+        remaining workers.  Report and requeue share the lock so a
+        peer's :meth:`note_exit` sees the batch either unreported or
+        already queued; in between, its quorum re-check would miss the
+        batch and no later event would salvage it.
         """
         with self._cond:
             batch.stale_workers.add(worker)
-            return self._salvage_if_quorum_locked(batch)
+            if self._salvage_if_quorum_locked(batch):
+                return True
+            self._overflow.append(batch)
+            self._cond.notify_all()
+            return False
 
     def note_exit(self, worker) -> None:
         """A lane is gone: stop counting it toward the stale quorum, and
@@ -1166,8 +1175,7 @@ class _WorkerLane(threading.Thread):
                             fault.kind, self.worker, fault.detail,
                             batch=tuple(todo),
                         )
-                        if not state.mark_stale(batch, self.worker):
-                            state.requeue(batch)
+                        state.mark_stale(batch, self.worker)
                         continue
                     self._close()
                     if state.stopped.is_set():

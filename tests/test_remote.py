@@ -29,6 +29,7 @@ from repro.core import iter_set_cover
 from repro.engine import (
     ChaosProxy,
     RemoteScanExecutor,
+    RetryPolicy,
     WorkerServer,
     executor_for,
     resolve_workers,
@@ -763,29 +764,22 @@ class TestScanStateWakeups:
         thread.join(timeout=10)
         return not thread.is_alive()
 
-    def test_last_batch_done_wakes_an_idle_lane(self):
+    @pytest.mark.parametrize("trigger, expected", [
+        ("batch_done", None),   # the last batch finishes the scan
+        ("stop", None),         # the driver ends the scan
+        ("requeue", "batch"),   # a faulted peer hands the batch back
+    ])
+    def test_event_wakes_an_idle_lane(self, trigger, expected):
         state, (batch,) = self._state()
         assert state.take("peer") is batch
         thread, out = self._blocked_take(state)
-        state.batch_done(batch)
+        if trigger == "stop":
+            state.stop()
+        else:
+            getattr(state, trigger)(batch)
         assert self._joined(thread)
-        assert out == [None] and state.finished()
-
-    def test_stop_wakes_an_idle_lane(self):
-        state, (batch,) = self._state()
-        assert state.take("peer") is batch
-        thread, out = self._blocked_take(state)
-        state.stop()
-        assert self._joined(thread)
-        assert out == [None] and not state.finished()
-
-    def test_peer_requeue_wakes_an_idle_lane(self):
-        state, (batch,) = self._state()
-        assert state.take("peer") is batch
-        thread, out = self._blocked_take(state)
-        state.requeue(batch)
-        assert self._joined(thread)
-        assert out == [batch]
+        assert out == [batch if expected == "batch" else None]
+        assert state.finished() == (trigger == "batch_done")
 
     def test_peer_exit_spill_wakes_an_idle_lane(self):
         state, (first, second) = self._state(2)
@@ -804,7 +798,6 @@ class TestScanStateWakeups:
         state, (batch,) = self._state()
         assert state.take("lane") is batch
         assert state.mark_stale(batch, "lane") is False  # peer still may
-        state.requeue(batch)
         assert state.take("lane", timeout=0) is None
         assert state.take("peer", timeout=0) is batch
         # The peer reports stale too: quorum, so the driver salvages it.
@@ -814,10 +807,44 @@ class TestScanStateWakeups:
     def test_exit_completes_the_stale_quorum_of_a_queued_batch(self):
         state, (batch,) = self._state()
         assert state.take("lane") is batch
+        # The report requeues in the same locked step, so the one lane
+        # that could still serve the batch may exit right after it: the
+        # remaining lane never gets the batch back, the driver salvages it.
         assert state.mark_stale(batch, "lane") is False
-        state.requeue(batch)
-        # The one lane that could still serve it exits: the remaining
-        # lane never gets the batch back, the driver salvages it.
         state.note_exit("peer")
         assert state.results.get_nowait() == ("stale", batch)
         assert state.take("lane", timeout=0) is None
+
+    def test_peer_exit_right_after_a_lane_stale_report_salvages(
+        self, monkeypatch,
+    ):
+        """A real lane reports its batch stale and the only other lane
+        exits the instant ``mark_stale`` returns — before the lane does
+        anything else.  The driver must still get the batch to salvage;
+        a requeue issued after the report would land after the peer's
+        quorum re-check and leave the scan waiting forever."""
+        worker = ("127.0.0.1", 9)  # never dialled: no retries, no pings
+        state, (batch,) = self._state()
+        state.roster = {worker, "peer"}
+        executor = RemoteScanExecutor([worker], retry=RetryPolicy(attempts=1))
+        lane = remote_mod._WorkerLane(
+            executor, worker, state, {}, b"\x00", None, True,
+        )
+
+        def stale(todo):
+            raise remote_mod._LaneFault("stale-repository", "compacted")
+
+        monkeypatch.setattr(lane, "_run_batch", stale)
+        mark_stale = state.mark_stale
+
+        def then_peer_exits(*args):
+            salvaged = mark_stale(*args)
+            state.note_exit("peer")
+            return salvaged
+
+        monkeypatch.setattr(state, "mark_stale", then_peer_exits)
+        lane.start()
+        assert state.results.get(timeout=10) == ("stale", batch)
+        state.batch_done(batch)  # the driver's local salvage
+        assert self._joined(lane)
+        assert state.results.get_nowait() == ("lane_exit", worker)
