@@ -17,6 +17,7 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",
+        "scipy>=1.8",
     ],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],

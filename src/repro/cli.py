@@ -650,8 +650,7 @@ def _load_delta_batches(path: str) -> "list[list[dict]]":
     if isinstance(payload, dict) and "batches" in payload:
         from repro.workloads.churn import ChurnScript
 
-        return [list(batch) for batch in ChurnScript.from_json(
-            json.dumps(payload)).batches]
+        return ChurnScript.from_payload(payload).batches
     if isinstance(payload, dict) and "ops" in payload:
         return [list(payload["ops"])]
     if isinstance(payload, list):

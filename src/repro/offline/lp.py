@@ -13,7 +13,6 @@ than greedy, used in the offline-solver ablation (experiment E9).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.offline.base import InfeasibleInstanceError, OfflineSolver
 from repro.setsystem.set_system import SetSystem
@@ -41,6 +40,8 @@ def fractional_optimum(system: SetSystem) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros(system.m)
     if not system.is_feasible():
         raise InfeasibleInstanceError("family does not cover the ground set")
+    from scipy.optimize import linprog  # heavy; only the LP paths need it
+
     matrix = _constraint_matrix(system)
     result = linprog(
         c=np.ones(system.m),

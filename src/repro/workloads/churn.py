@@ -91,16 +91,25 @@ class ChurnScript:
 
     @classmethod
     def from_json(cls, text: str) -> "ChurnScript":
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "ChurnScript":
+        """Build a script from an already-parsed JSON value (schema-checked)."""
         if not isinstance(payload, dict) or payload.get("schema") != CHURN_SCHEMA:
             raise ValueError(
                 f"not a churn script (expected schema {CHURN_SCHEMA!r})"
             )
-        return cls(
-            n=int(payload["n"]),
-            base=[list(row) for row in payload["base"]],
-            batches=[list(batch) for batch in payload["batches"]],
-        )
+        try:
+            return cls(
+                n=int(payload["n"]),
+                base=[list(row) for row in payload["base"]],
+                batches=[list(batch) for batch in payload["batches"]],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"not a churn script (malformed field: {exc!r})"
+            ) from exc
 
     def save(self, path: "str | Path") -> Path:
         path = Path(path)

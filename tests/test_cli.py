@@ -421,6 +421,40 @@ class TestShardDurability:
         capsys.readouterr()
         return root
 
+    def test_apply_delta_churn_script_applies_every_batch(
+        self, chain, tmp_path, capsys
+    ):
+        from repro.workloads.churn import ChurnScript
+
+        script = ChurnScript(8, [], [
+            [{"op": "insert", "elements": [0, 7]}],
+            [{"op": "delete", "id": 3}],
+        ])
+        path = script.save(tmp_path / "script.json")
+        assert main(["shard", "apply-delta", str(chain), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "generation   2: +1 insert(s), -0 tombstone(s)" in out
+        assert "generation   3: +0 insert(s), -1 tombstone(s)" in out
+
+    @pytest.mark.parametrize("fields", [
+        {"schema": "repro.churn/v0", "n": 8, "base": []},
+        {"schema": "repro.churn/v1", "base": []},
+        {"schema": "repro.churn/v1", "n": 8, "base": 3},
+    ], ids=["wrong-schema", "missing-n", "base-not-a-list"])
+    def test_apply_delta_malformed_script_is_a_clean_error(
+        self, chain, tmp_path, capsys, fields
+    ):
+        import json
+
+        before = sorted(p.name for p in chain.iterdir())
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({
+            **fields, "batches": [[{"op": "insert", "elements": [0, 7]}]],
+        }))
+        assert main(["shard", "apply-delta", str(chain), str(path)]) == 2
+        assert "error: not a churn script" in capsys.readouterr().err
+        assert sorted(p.name for p in chain.iterdir()) == before
+
     def test_fsck_clean_repository(self, chain, capsys):
         assert main(["shard", "fsck", str(chain)]) == 0
         assert "clean (deep sweep)" in capsys.readouterr().out
