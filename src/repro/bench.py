@@ -640,27 +640,23 @@ def _bench_sharded_instance(
         try:
             selections = {}
 
-            def solve(backend: str, jobs):
+            def solve(jobs):
                 stream = ShardedSetStream(repo, jobs=jobs)
-                result = ThresholdGreedy(backend=backend).solve(stream)
+                result = ThresholdGreedy().solve(stream)
                 assert result.feasible, f"threshold greedy failed on {name}"
-                selections[(backend, jobs)] = result.selection
+                selections[jobs] = result.selection
                 return result
 
             max_jobs = max(jobs_sweep) if jobs_sweep else 1
-            for backend, jobs in (
-                ("python", 1), ("numpy", 1), ("python", max_jobs)
-            ):
-                label = backend if jobs == 1 else f"{backend} jobs={jobs}"
+            for jobs in sorted({1, max_jobs}):
                 runner.record(
-                    "threshold_sharded", name, label,
-                    lambda b=backend, j=jobs: solve(b, j), repeats=1,
+                    "threshold_sharded", name, f"jobs={jobs}",
+                    lambda j=jobs: solve(j), repeats=1,
                 )
             if len(set(map(tuple, selections.values()))) != 1:
                 parity["identical"] = False
                 raise AssertionError(
-                    f"threshold_sharded covers diverged across backends/jobs "
-                    f"on {name}"
+                    f"threshold_sharded covers diverged across jobs on {name}"
                 )
             parity["instances"] += 1
         finally:

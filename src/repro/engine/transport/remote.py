@@ -77,6 +77,8 @@ import warnings
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro.engine.cache import (
     cache_key_for,
     cached_scan_shard,
@@ -88,13 +90,7 @@ from repro.engine.merge import AcceptBatch, ReorderWindow, simulate_accepts
 from repro.engine.plan import plan_batches, resolve_workers
 from repro.engine.transport.base import ScanExecutor
 
-try:  # gains vectors decode into numpy when available
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
-
 __all__ = [
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteScanExecutor",
@@ -107,20 +103,13 @@ __all__ = [
 ]
 
 #: Bumped whenever a frame or message field changes shape.  Driver and
-#: worker exchange versions in the hello handshake; since version 3 the
-#: worker echoes ``min(driver, worker)`` and both sides speak that
-#: negotiated version, so mixed fleets keep working across one protocol
-#: bump instead of refusing loudly.  Version 2 added the per-frame
-#: crc32; version 3 added the hot-cache observability fields (``hot``
-#: on result replies, ``cache`` on ``done``/``pong``) — pure additions,
-#: so a v3 pair is wire-compatible with v2 minus the counters.
+#: worker exchange versions in the hello handshake: the worker refuses a
+#: driver older than this version and echoes ``min(driver, worker)``
+#: otherwise, so a newer driver negotiates down to this build.  Version
+#: 2 added the per-frame crc32; version 3 added the hot-cache
+#: observability fields (``hot`` on result replies, ``cache`` on
+#: ``done``/``pong``).
 PROTOCOL_VERSION = 3
-
-#: Oldest protocol this build still speaks.  A v2 worker refuses a v3
-#: hello outright (strict equality back then), so the driver redials
-#: such a worker offering v2; a v3 worker accepts anything in
-#: ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` and echoes the min.
-MIN_PROTOCOL_VERSION = 2
 
 _FRAME_JSON = b"J"
 _FRAME_BYTES = b"B"
@@ -272,18 +261,11 @@ def _decode_captured(encoded) -> list:
 
 
 def _encode_gains(gains) -> bytes:
-    if np is not None and isinstance(gains, np.ndarray):
-        return np.ascontiguousarray(gains, dtype="<i8").tobytes()
-    return b"".join(int(g).to_bytes(8, "little", signed=True) for g in gains)
+    return np.ascontiguousarray(gains, dtype="<i8").tobytes()
 
 
-def _decode_gains(payload: bytes):
-    if np is not None:
-        return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
-    return [
-        int.from_bytes(payload[i : i + 8], "little", signed=True)
-        for i in range(0, len(payload), 8)
-    ]
+def _decode_gains(payload: bytes) -> "np.ndarray":
+    return np.frombuffer(payload, dtype="<i8").astype(np.int64, copy=False)
 
 
 def _nodelay(sock: socket.socket) -> None:
@@ -586,23 +568,19 @@ class WorkerServer:
                 if hello.get("op") != "hello":
                     raise ProtocolError(f"expected hello, got {hello.get('op')!r}")
                 peer = hello.get("protocol")
-                if not isinstance(peer, int) or peer < MIN_PROTOCOL_VERSION:
+                if not isinstance(peer, int) or peer < PROTOCOL_VERSION:
                     send_json(conn, {
                         "op": "error",
                         "message": (
                             f"protocol mismatch: driver speaks {peer!r}, "
-                            f"worker speaks {MIN_PROTOCOL_VERSION}.."
-                            f"{PROTOCOL_VERSION}"
+                            f"worker speaks {PROTOCOL_VERSION}"
                         ),
                     })
                     return
-                # Negotiate down to the newest version both sides speak:
-                # a v2 driver gets v2 replies (no hot/cache fields), a
-                # v3+ driver gets everything this build knows.
-                negotiated = min(peer, PROTOCOL_VERSION)
+                # A newer driver negotiates down to this build's version.
                 send_json(conn, {
                     "op": "hello",
-                    "protocol": negotiated,
+                    "protocol": min(peer, PROTOCOL_VERSION),
                     "pid": os.getpid(),
                     "root": str(self.root),
                 })
@@ -615,16 +593,15 @@ class WorkerServer:
                     if op == "ping":
                         with self._repo_lock:
                             evictions = dict(self._evictions)
-                        reply = {"op": "pong", "evictions": evictions}
-                        if negotiated >= 3:
-                            cache = get_cache()
-                            reply["cache"] = (
-                                cache.stats() if cache.enabled else None
-                            )
-                        send_json(conn, reply)
+                        cache = get_cache()
+                        send_json(conn, {
+                            "op": "pong",
+                            "evictions": evictions,
+                            "cache": cache.stats() if cache.enabled else None,
+                        })
                     elif op == "scan":
                         try:
-                            self._handle_scan(conn, request, negotiated)
+                            self._handle_scan(conn, request)
                         except StaleRepositoryError as exc:
                             # Retriable, and raised before any result
                             # frame (the request is fully consumed), so
@@ -646,9 +623,7 @@ class WorkerServer:
                 except OSError:
                     pass
 
-    def _handle_scan(
-        self, conn: socket.socket, request: dict, negotiated: int,
-    ) -> None:
+    def _handle_scan(self, conn: socket.socket, request: dict) -> None:
         mask_bytes = recv_bytes(conn)
         try:
             key, repo = self._open_repository(request["path"], request["token"])
@@ -699,9 +674,8 @@ class WorkerServer:
                     "shard": shard,
                     "start": start,
                     "captured": _encode_captured(captured),
+                    "hot": bool(hot),
                 }
-                if negotiated >= 3:
-                    reply["hot"] = bool(hot)
                 send_gains = accept_threshold is None and include_gains
                 reply["gains"] = send_gains
                 if accept_threshold is not None:
@@ -720,13 +694,11 @@ class WorkerServer:
                     os.kill(os.getpid(), signal.SIGKILL)
             with self._repo_lock:
                 evictions = dict(self._evictions)
-            done = {
+            cache = get_cache()
+            send_json(conn, {
                 "op": "done", "shards": len(shards), "evictions": evictions,
-            }
-            if negotiated >= 3:
-                cache = get_cache()
-                done["cache"] = cache.stats() if cache.enabled else None
-            send_json(conn, done)
+                "cache": cache.stats() if cache.enabled else None,
+            })
         finally:
             self._release_repository(key)
 
@@ -734,8 +706,8 @@ class WorkerServer:
 # ----------------------------------------------------------------------
 # Driver connections
 # ----------------------------------------------------------------------
-def _dial_once(worker, policy, shown: str, offer: int):
-    """One connect + hello exchange offering protocol ``offer``.
+def _dial_once(worker, policy, shown: str):
+    """One connect + hello exchange offering :data:`PROTOCOL_VERSION`.
 
     Returns ``(socket, hello_reply)`` on success; raises
     :class:`ProtocolError` when the worker refuses or replies with an
@@ -754,15 +726,13 @@ def _dial_once(worker, policy, shown: str, offer: int):
         ) from exc
     try:
         _nodelay(sock)
-        send_json(sock, {"op": "hello", "protocol": offer})
+        send_json(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
         reply = recv_json(sock)
         if reply.get("op") == "error":
             raise ProtocolError(reply.get("message", "worker refused the hello"))
-        negotiated = reply.get("protocol")
         if (
             reply.get("op") != "hello"
-            or not isinstance(negotiated, int)
-            or not MIN_PROTOCOL_VERSION <= negotiated <= offer
+            or reply.get("protocol") != PROTOCOL_VERSION
         ):
             raise ProtocolError(f"unexpected hello reply {reply!r}")
     except (ProtocolError, ConnectionError, OSError):
@@ -775,11 +745,7 @@ def _connect(worker, policy=None, display=None):
     """Dial a worker and run the negotiated hello handshake.
 
     Returns ``(socket, hello_reply)``; the reply's ``protocol`` field is
-    the version both sides will speak.  The driver offers its newest
-    version first; a pre-negotiation (v2) worker answers that with a
-    strict-equality refusal, so a hello *refusal* mentioning a protocol
-    mismatch triggers one redial offering :data:`MIN_PROTOCOL_VERSION` —
-    mixed fleets keep working across one protocol bump.  ``display``
+    the version both sides will speak.  ``display``
     names the worker in error messages when the dialed address is an
     interposed proxy (the chaos harness) rather than the worker itself.
     The connect timeout stays in force through the handshake: a host
@@ -793,14 +759,7 @@ def _connect(worker, policy=None, display=None):
     shown = display if display is not None else (host, port)
     shown = f"{shown[0]}:{shown[1]}"
     try:
-        try:
-            sock, reply = _dial_once(worker, policy, shown, PROTOCOL_VERSION)
-        except ProtocolError as exc:
-            if "protocol mismatch" not in str(exc):
-                raise
-            sock, reply = _dial_once(
-                worker, policy, shown, MIN_PROTOCOL_VERSION
-            )
+        sock, reply = _dial_once(worker, policy, shown)
     except (ProtocolError, ConnectionError, OSError) as exc:
         raise RuntimeError(
             f"handshake with remote worker {shown} failed: {exc}"

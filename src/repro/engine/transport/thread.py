@@ -18,11 +18,6 @@ from repro.engine.cache import cached_scan_shard
 from repro.engine.transport.base import ScanExecutor
 from repro.setsystem.packed import ScanMask
 
-try:  # numpy builds the shared packed mask view once before fanning out
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
-
 __all__ = ["ThreadScanExecutor", "thread_map"]
 
 _THREAD_POOLS: dict[int, "concurrent.futures.ThreadPoolExecutor"] = {}
@@ -76,7 +71,7 @@ class ThreadScanExecutor(ScanExecutor):
         best_only=False, include_gains=True,
     ):
         mask = ScanMask(repository.n, mask_int)
-        if np is not None and not mask.is_empty:
+        if not mask.is_empty:
             mask.arr  # build the shared packed view before fanning out
         pool = _get_thread_pool(self.jobs)
         futures = [

@@ -79,6 +79,8 @@ from collections.abc import Iterable, Iterator
 from operator import index
 from pathlib import Path
 
+import numpy as np
+
 from repro.setsystem.durability import (
     COMPACT_INTENT_NAME,
     GenerationLease,
@@ -120,11 +122,6 @@ from repro.setsystem.shards import (
     write_shards,
 )
 from repro.utils.bitset import bits_of
-
-try:  # numpy accelerates merged-chunk packing; the format never requires it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "DELTA_SCHEMA",
@@ -642,8 +639,6 @@ class MergedShardView:
 
     def chunk_matrix(self, shard: int) -> "np.ndarray":
         """One merged chunk as a ``(rows, words)`` ``uint64`` matrix."""
-        if np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required for matrix chunk access")
         masks = self.chunk_masks(shard)
         data = b"".join(
             mask.to_bytes(self._row_bytes, "little") for mask in masks
@@ -710,36 +705,19 @@ class MergedShardView:
         words = max(1, repo.words)
         rows = int(repo._shard_meta[shard]["rows"])
         if repo._layouts[shard] == _LAYOUT_RAW:
-            if np is not None:
-                table = np.full(rows, 2 + words, dtype=np.int64)
-            else:
-                table = [2 + words] * rows
+            table = np.full(rows, 2 + words, dtype=np.int64)
         else:
             tags, lengths, offsets = repo._encoded_header(shard)
-            mm = repo._maps[shard]
-            if np is not None:
-                payload = np.frombuffer(mm, dtype=np.uint8)
-                starts = np.asarray(offsets, dtype=np.int64)
-                lens = np.asarray(lengths, dtype=np.int64)
-                prefix = np.concatenate(
-                    ([0], np.cumsum(payload < 0x80, dtype=np.int64))
-                )
-                varints = prefix[starts + lens] - prefix[starts]
-                table = np.where(
-                    np.asarray(tags) == _TAG_DENSE, 2 + words, 2 + varints
-                )
-            else:
-                table = []
-                for local in range(rows):
-                    if tags[local] == _TAG_DENSE:
-                        table.append(2 + words)
-                    else:
-                        chunk = mm[
-                            offsets[local] : offsets[local] + lengths[local]
-                        ]
-                        table.append(
-                            2 + sum(1 for byte in chunk if byte < 0x80)
-                        )
+            payload = np.frombuffer(repo._maps[shard], dtype=np.uint8)
+            starts = np.asarray(offsets, dtype=np.int64)
+            lens = np.asarray(lengths, dtype=np.int64)
+            prefix = np.concatenate(
+                ([0], np.cumsum(payload < 0x80, dtype=np.int64))
+            )
+            varints = prefix[starts + lens] - prefix[starts]
+            table = np.where(
+                np.asarray(tags) == _TAG_DENSE, 2 + words, 2 + varints
+            )
         self._cost_cache[key] = table
         return table
 
@@ -815,16 +793,9 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            gains = (
-                np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            )
-            return start, gains, []
-        chunk = (
-            self.chunk_matrix(shard) if np is not None
-            else self.chunk_masks(shard)
-        )
+            return start, np.zeros(rows, dtype=np.int64), []
         gains, captured = scan_chunk(
-            start, chunk, mask,
+            start, self.chunk_matrix(shard), mask,
             min_capture_gain=min_capture_gain,
             capture_ids=capture_ids,
             best_only=best_only,
@@ -835,18 +806,14 @@ class MergedShardView:
     def decode_chunk(self, shard: int):
         """``(payload, resident_bytes)`` for the cross-pass hot cache.
 
-        The merged chunk is materialized once (matrix on the numpy
-        path, bitmask list otherwise) so repeat passes skip the
-        row-by-row source gather entirely.  Keyed by
+        The merged chunk is materialized once as a packed matrix so
+        repeat passes skip the row-by-row source gather entirely.  Keyed by
         :attr:`cache_token`, which covers every chain manifest — any
         ``apply-delta`` or compaction changes the token, so a cached
         merge can never be served stale.
         """
         if self._closed:
             raise ShardFormatError(f"merged view over {self.path} is closed")
-        if np is None:
-            masks = self.chunk_masks(shard)
-            return ("masks", masks), len(masks) * (self._row_bytes + 64)
         matrix = self.chunk_matrix(shard)
         return ("matrix", matrix), matrix.nbytes
 
@@ -865,10 +832,7 @@ class MergedShardView:
         start, end = self._bounds(shard)
         rows = end - start
         if mask.is_empty:
-            gains = (
-                np.zeros(rows, dtype=np.int64) if np is not None else [0] * rows
-            )
-            return start, gains, []
+            return start, np.zeros(rows, dtype=np.int64), []
         _, data = payload
         gains, captured = scan_chunk(
             start, data, mask,

@@ -30,13 +30,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.setsystem.packed import ScanMask, scan_chunk
 from repro.setsystem.set_system import SetSystem
-
-try:  # scans prefer the packed matrix; big-int masks otherwise
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = ["InMemoryRepository"]
 
@@ -46,8 +43,8 @@ class InMemoryRepository:
 
     ``lanes`` is the number of scan threads the slices are cut for.  The
     family is never copied: chunks are views of the system's memoized
-    packed matrix (or slices of its bitmask list without numpy), and
-    :meth:`to_system` returns the wrapped system itself.
+    packed matrix, and :meth:`to_system` returns the wrapped system
+    itself.
     """
 
     #: No on-disk location: path-based transports cannot open it.
@@ -83,11 +80,9 @@ class InMemoryRepository:
         """Number of row slices a scan is split into."""
         return len(self._starts())
 
-    def _chunk(self, start: int, packed: bool):
+    def _chunk(self, start: int) -> "np.ndarray":
         stop = start + self._chunk_rows()
-        if packed:
-            return self._system.packed("numpy").matrix[start:stop]
-        return self._system.packed("python").rows[start:stop]
+        return self._system.packed("numpy").matrix[start:stop]
 
     def scan_shard(
         self,
@@ -105,7 +100,7 @@ class InMemoryRepository:
         """
         start = self._starts()[shard]
         gains, captured = scan_chunk(
-            start, self._chunk(start, np is not None), mask,
+            start, self._chunk(start), mask,
             min_capture_gain=min_capture_gain,
             capture_ids=capture_ids,
             best_only=best_only,
@@ -115,12 +110,13 @@ class InMemoryRepository:
     def iter_chunk_matrices(self) -> Iterator[tuple[int, "np.ndarray"]]:
         """Yield ``(start_row, matrix)`` per slice (read-only views)."""
         for start in self._starts():
-            yield start, self._chunk(start, True)
+            yield start, self._chunk(start)
 
     def iter_chunk_masks(self) -> Iterator[tuple[int, list[int]]]:
         """Yield ``(start_row, masks)`` per slice as integer bitmasks."""
+        rows, step = self._system.packed("python").rows, self._chunk_rows()
         for start in self._starts():
-            yield start, self._chunk(start, False)
+            yield start, rows[start : start + step]
 
     def iter_row_masks(self) -> Iterator[int]:
         """Yield every row as an integer bitmask."""

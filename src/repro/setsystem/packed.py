@@ -47,12 +47,9 @@ import abc
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from repro.utils.bitset import bits_of, mask_of, universe_mask
+import numpy as np
 
-try:  # numpy is a declared dependency, but the big-int path never needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+from repro.utils.bitset import bits_of, mask_of, universe_mask
 
 __all__ = [
     "BACKENDS",
@@ -97,11 +94,9 @@ def resolve_backend(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if backend == "numpy" and np is None:
-        raise RuntimeError("backend='numpy' requested but numpy is not installed")
     if backend != "auto":
         return backend
-    if kind == "stream" or np is None:
+    if kind == "stream":
         return "python"
     words = max(1, (n + WORD_BITS - 1) // WORD_BITS)
     if m is not None and m * words >= _AUTO_NUMPY_MIN_WORDS:
@@ -112,27 +107,28 @@ def resolve_backend(
 # ----------------------------------------------------------------------
 # Popcount helpers (numpy)
 # ----------------------------------------------------------------------
-if np is not None:
-    _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
-    if not _HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
-        _POPCOUNT8 = np.array(
-            [bin(i).count("1") for i in range(256)], dtype=np.uint64
-        )
+_HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
+if not _HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2.0 in CI
+    _POPCOUNT8 = np.array(
+        [bin(i).count("1") for i in range(256)], dtype=np.uint64
+    )
 
-    def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
-        """Per-row popcount of a (..., words) uint64 array."""
-        if _HAVE_BITWISE_COUNT:
-            return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
-        flat = np.ascontiguousarray(matrix).view(np.uint8)
-        return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
 
-    def _popcount_total(bitmap: "np.ndarray") -> int:
-        """Total popcount of a 1-D uint64 bitmap."""
-        if bitmap.size == 0:
-            return 0
-        if _HAVE_BITWISE_COUNT:
-            return int(np.bitwise_count(bitmap).sum())
-        return int(_POPCOUNT8[np.ascontiguousarray(bitmap).view(np.uint8)].sum())
+def _popcount_rows(matrix: "np.ndarray") -> "np.ndarray":
+    """Per-row popcount of a (..., words) uint64 array."""
+    if _HAVE_BITWISE_COUNT:
+        return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
+    flat = np.ascontiguousarray(matrix).view(np.uint8)
+    return _POPCOUNT8[flat].sum(axis=-1, dtype=np.int64)
+
+
+def _popcount_total(bitmap: "np.ndarray") -> int:
+    """Total popcount of a 1-D uint64 bitmap."""
+    if bitmap.size == 0:
+        return 0
+    if _HAVE_BITWISE_COUNT:
+        return int(np.bitwise_count(bitmap).sum())
+    return int(_POPCOUNT8[np.ascontiguousarray(bitmap).view(np.uint8)].sum())
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +279,6 @@ class NumpyBitmapKernel(BitmapKernel):
     backend = "numpy"
 
     def __init__(self, n: int):
-        if np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
         super().__init__(n)
         self.words = (n + WORD_BITS - 1) // WORD_BITS
 
@@ -635,8 +629,6 @@ class NumpyPackedFamily(PackedFamily):
     backend = "numpy"
 
     def __init__(self, n: int, sets: Sequence[Iterable[int]]):
-        if np is None:  # pragma: no cover - guarded by resolve_backend
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
         kernel = NumpyBitmapKernel(n)
         sets = [s if isinstance(s, (frozenset, set, list, tuple)) else list(s) for s in sets]
         m = len(sets)
@@ -822,7 +814,7 @@ class ScanMask:
 
     @property
     def arr(self) -> "np.ndarray":
-        """Packed ``uint64`` view (numpy required)."""
+        """Packed ``uint64`` view of the mask."""
         if self._arr is None:
             self._arr = np.frombuffer(self.to_bytes(), dtype="<u8")
         return self._arr
@@ -847,23 +839,19 @@ def first_argmax(gains) -> int:
     """Index of the first maximum of a gains vector, ``-1`` if all-zero.
 
     The lowest-index tie-break every greedy variant in this repository
-    uses (DESIGN.md §4); works on numpy arrays and plain lists.
+    uses (DESIGN.md §4); takes a numpy array or anything
+    :func:`numpy.asarray` accepts.
 
     >>> first_argmax([0, 3, 1, 3])
     1
     >>> first_argmax([0, 0])
     -1
     """
-    if np is not None and isinstance(gains, np.ndarray):
-        if gains.size == 0:
-            return -1
-        best = int(np.argmax(gains))  # first max == lowest row index
-        return best if int(gains[best]) > 0 else -1
-    best, best_gain = -1, 0
-    for i, g in enumerate(gains):
-        if g > best_gain:
-            best, best_gain = i, g
-    return best
+    gains = np.asarray(gains)
+    if gains.size == 0:
+        return -1
+    best = int(np.argmax(gains))  # first max == lowest row index
+    return best if int(gains[best]) > 0 else -1
 
 
 def chunk_gains(matrix: "np.ndarray", mask_arr: "np.ndarray") -> "np.ndarray":
@@ -929,8 +917,7 @@ def scan_chunk(
     start:
         Global row id of the chunk's first row.
     chunk:
-        A ``(rows, words)`` ``uint64`` matrix (numpy path) or a list of
-        integer bitmasks (pure-python fallback).
+        A ``(rows, words)`` ``uint64`` matrix.
     mask:
         The residual :class:`ScanMask` to intersect against.
     min_capture_gain:
@@ -944,46 +931,28 @@ def scan_chunk(
     Returns
     -------
     (gains, captured):
-        ``gains`` — per-row ``|row ∩ mask|`` (``int64`` array or list);
+        ``gains`` — per-row ``|row ∩ mask|`` as an ``int64`` array;
         ``captured`` — ``(row_id, projection_int)`` pairs, ascending ids.
     """
-    if np is not None and isinstance(chunk, np.ndarray):
-        inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
-        gains = (
-            _popcount_rows(inter)
-            if chunk.size
-            else np.zeros(chunk.shape[0], dtype=np.int64)
-        )
-        captured: list = []
-        if best_only:
-            local = first_argmax(gains)
-            if local >= 0:
-                captured.append(
-                    (start + local, int.from_bytes(inter[local].tobytes(), "little"))
-                )
-        elif min_capture_gain is not None:
-            for local in np.flatnonzero(gains >= min_capture_gain):
-                row_id = start + int(local)
-                if capture_ids is not None and row_id not in capture_ids:
-                    continue
-                captured.append(
-                    (row_id, int.from_bytes(inter[int(local)].tobytes(), "little"))
-                )
-        return gains, captured
-
-    mask_int = mask.mask_int
-    gains = [(row & mask_int).bit_count() for row in chunk]
-    captured = []
+    inter = np.bitwise_and(chunk, mask.arr[None, :]) if chunk.size else chunk
+    gains = (
+        _popcount_rows(inter)
+        if chunk.size
+        else np.zeros(chunk.shape[0], dtype=np.int64)
+    )
+    captured: list = []
     if best_only:
         local = first_argmax(gains)
         if local >= 0:
-            captured.append((start + local, chunk[local] & mask_int))
+            captured.append(
+                (start + local, int.from_bytes(inter[local].tobytes(), "little"))
+            )
     elif min_capture_gain is not None:
-        for local, gain in enumerate(gains):
-            row_id = start + local
-            if gain < min_capture_gain:
-                continue
+        for local in np.flatnonzero(gains >= min_capture_gain):
+            row_id = start + int(local)
             if capture_ids is not None and row_id not in capture_ids:
                 continue
-            captured.append((row_id, chunk[local] & mask_int))
+            captured.append(
+                (row_id, int.from_bytes(inter[int(local)].tobytes(), "little"))
+            )
     return gains, captured

@@ -37,7 +37,6 @@ from repro.engine import (
 )
 from repro.engine.transport import remote as remote_mod
 from repro.engine.transport.remote import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     manifest_token,
     recv_json,
@@ -282,9 +281,10 @@ def test_paths_outside_worker_root_are_rejected(tmp_path):
 
 def test_protocol_version_mismatch_is_loud(worker_fleet):
     host, port = worker_fleet[0]
-    # A driver older than the worker's floor is refused loudly.
+    # A driver older than the worker's version is refused loudly: the
+    # protocol floor is the current version, so a v2 hello is refused.
     with socket.create_connection((host, port), timeout=10.0) as sock:
-        send_json(sock, {"op": "hello", "protocol": MIN_PROTOCOL_VERSION - 1})
+        send_json(sock, {"op": "hello", "protocol": 2})
         reply = recv_json(sock)
         assert reply["op"] == "error"
         assert "protocol mismatch" in reply["message"]
@@ -299,17 +299,6 @@ def test_protocol_version_negotiates_down(worker_fleet):
         reply = recv_json(sock)
         assert reply["op"] == "hello"
         assert reply["protocol"] == PROTOCOL_VERSION
-    # An old-protocol driver gets old-protocol replies: no hot/cache
-    # fields ride the wire at the negotiated floor version.
-    with socket.create_connection((host, port), timeout=10.0) as sock:
-        send_json(sock, {"op": "hello", "protocol": MIN_PROTOCOL_VERSION})
-        reply = recv_json(sock)
-        assert reply["op"] == "hello"
-        assert reply["protocol"] == MIN_PROTOCOL_VERSION
-        send_json(sock, {"op": "ping"})
-        pong = recv_json(sock)
-        assert pong["op"] == "pong"
-        assert "cache" not in pong
 
 
 def test_ping_pong(worker_fleet):

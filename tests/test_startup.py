@@ -1,4 +1,4 @@
-"""Cold-start guard: the default import path must not load scipy.
+"""Import-path guards: what ``import repro`` loads, and how.
 
 Every ``python -m repro`` process pays for what ``import repro.cli``
 pulls in.  scipy (via ``scipy.optimize.linprog``) costs more than half
@@ -6,10 +6,15 @@ a second and ~40 MB of RSS, and only the covering-LP helpers use it, so
 it is imported at those call sites.  Each case runs in a fresh
 interpreter, because this test process has usually imported scipy
 already.
+
+numpy is a hard dependency (``setup.py``), so no module may guard its
+import: a ``try: import numpy`` would only keep alive a pure-Python
+fallback that no process can reach (DESIGN.md §18).
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -19,6 +24,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+_TRY_NODES = tuple(
+    getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name)
+)
 
 
 def _run(code: str) -> dict:
@@ -66,3 +75,23 @@ def test_fractional_optimum_loads_scipy_on_first_call():
     assert report["before"] is False
     assert report["value"] == pytest.approx(1.5)
     assert "scipy.optimize" in report["scipy"]
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def test_numpy_import_is_never_guarded():
+    guarded = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in (SRC / "repro").rglob("*.py")
+        for block in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(block, _TRY_NODES)
+        for node in ast.walk(block)
+        if _imports_numpy(node)
+    )
+    assert guarded == [], f"numpy imported inside a try block: {guarded}"
